@@ -7,7 +7,7 @@ pattern of the loadings, and a stick-breaking prior on the factor
 activations selects the rank.
 """
 
-from .latent import LatentState, apply_transform, initial_latent, update_latent
+from .latent import apply_transform, initial_latent, update_latent
 from .model import (
     FactorContribution,
     FitResult,
@@ -42,7 +42,6 @@ __all__ = [
     "FactorContribution",
     "FitResult",
     "HyperParams",
-    "LatentState",
     "ObservedMatrix",
     "ScenarioSpec",
     "ShrinkageParams",

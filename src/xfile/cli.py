@@ -26,7 +26,7 @@ from .io import (
     save_model,
     write_fit_outputs,
 )
-from .model import HyperParams, Transform
+from .model import Transform, hyperparams_from_dict, hyperparams_to_dict
 from .optimizer import fit, predict_matrix
 from .shrinkage import (
     ShrinkageParams,
@@ -37,30 +37,6 @@ from .shrinkage import (
 from .simulate import ScenarioSpec, run_experiment, run_grid_search
 
 __all__ = ["main", "build_parser", "hyperparams_from_dict"]
-
-
-def hyperparams_from_dict(raw: dict) -> HyperParams:
-    """HyperParams from a flat JSON dict; 'alpha'/'delta' fill the shrinkage pair."""
-    raw = dict(raw)
-    shrink = ShrinkageParams(
-        alpha=float(raw.pop("alpha", 5.0)),
-        delta=float(raw.pop("delta", 0.0)),
-    )
-    allowed = {
-        "a_sigma", "b_sigma", "a_eta", "b_eta", "zeta_n", "zeta_p", "eps_frelu",
-        "max_factors", "tol", "max_inner_iters", "n_restarts", "seed",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
-    return HyperParams(shrink=shrink, **raw)
-
-
-def _hyper_to_dict(hp: HyperParams) -> dict:
-    d = asdict(hp)
-    shrink = d.pop("shrink")
-    d["alpha"], d["delta"] = shrink["alpha"], shrink["delta"]
-    return d
 
 
 def _write_config(out_dir: Path, payload: dict) -> None:
@@ -115,7 +91,7 @@ def _cmd_fit(args) -> int:
         "metacovariates": str(args.metacovariates) if args.metacovariates else None,
         "transform": transform.value,
         "header": bool(args.header),
-        "hyper": _hyper_to_dict(hp),
+        "hyper": hyperparams_to_dict(hp),
     })
     print(f"fitted rank {result.rank}; outputs in {out}")
     return 0
@@ -153,7 +129,7 @@ def _cmd_simulate(args) -> int:
     payload = {
         "command": "simulate",
         "scenario": asdict(spec),
-        "hyper": _hyper_to_dict(hp),
+        "hyper": hyperparams_to_dict(hp),
         "summary": report.summary(),
     }
     if tuning is not None:

@@ -7,48 +7,38 @@ parameter and refreshed once per inner iteration (after the scale update)
 with the mode of its truncated Student-t full conditional.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ObservedMatrix, Transform
 
-__all__ = ["LatentState", "update_latent", "apply_transform", "initial_latent"]
+__all__ = ["update_latent", "apply_transform", "initial_latent"]
 
 
-@dataclass
-class LatentState:
-    """Latent residual bookkeeping for the factor currently being fitted.
+def update_latent(
+    z_tilde: np.ndarray,
+    fitted_prev: np.ndarray,
+    fitted_curr: np.ndarray,
+    data: ObservedMatrix,
+) -> np.ndarray:
+    """Returns the latent residual set to the mode of its full conditional.
 
     ``z_tilde`` is the residual of the latent matrix after subtracting the
     previously accepted factors (``fitted_prev``); ``fitted_curr`` adds the
-    current candidate.  Invariants on observed cells: at y > 0 the residual
-    equals y - fitted_prev, and at y = 0 it satisfies
-    fitted_prev + z_tilde <= 0.
-    """
-
-    z_tilde: np.ndarray
-    fitted_prev: np.ndarray
-    fitted_curr: np.ndarray
-
-
-def update_latent(state: LatentState, data: ObservedMatrix) -> LatentState:
-    """Sets the latent residual to the mode of its full conditional.
-
-    At observed y > 0 the latent value is pinned, so z_tilde = y -
-    fitted_prev.  At observed y = 0 the full conditional of z_tilde is a
-    Student-t truncated to (-inf, -fitted_prev); its mode is taken as
-    fitted_curr when fitted_curr < -fitted_prev and as the boundary
-    -fitted_prev otherwise.  No-op under the identity transform.
+    current candidate.  At observed y > 0 the latent value is pinned, so
+    z_tilde = y - fitted_prev.  At observed y = 0 the full conditional of
+    z_tilde is a Student-t truncated to (-inf, -fitted_prev); its mode is
+    taken as fitted_curr when fitted_curr < -fitted_prev and as the boundary
+    -fitted_prev otherwise, so fitted_prev + z_tilde <= 0 there.  Returns
+    ``z_tilde`` itself under the identity transform.
     """
     if data.transform != Transform.NONNEG_TRUNCATION:
-        return state
-    z = state.z_tilde.copy()
+        return z_tilde
+    z = z_tilde.copy()
     pos = data.mask & (data.values > 0)
     zero = data.mask & (data.values == 0)
-    z[pos] = data.values[pos] - state.fitted_prev[pos]
-    z[zero] = np.minimum(state.fitted_curr[zero], -state.fitted_prev[zero])
-    return LatentState(z_tilde=z, fitted_prev=state.fitted_prev, fitted_curr=state.fitted_curr)
+    z[pos] = data.values[pos] - fitted_prev[pos]
+    z[zero] = np.minimum(fitted_curr[zero], -fitted_prev[zero])
+    return z
 
 
 def apply_transform(latent: np.ndarray, transform: Transform) -> np.ndarray:

@@ -18,7 +18,7 @@ ascent monotone; it differs from a unit-normal prior on ``v_tilde`` alone by
 the change-of-variables term ``-p*log(eta)``.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from math import lgamma, log, pi as PI
 import warnings
@@ -32,6 +32,8 @@ __all__ = [
     "ObservedMatrix",
     "SideInfo",
     "HyperParams",
+    "hyperparams_from_dict",
+    "hyperparams_to_dict",
     "FactorContribution",
     "FitResult",
     "frelu",
@@ -174,6 +176,28 @@ class HyperParams:
 
     def with_seed(self, seed: int) -> "HyperParams":
         return replace(self, seed=seed)
+
+
+def hyperparams_from_dict(raw: dict) -> HyperParams:
+    """HyperParams from the flat JSON form, where 'alpha'/'delta' stand for
+    the shrinkage pair."""
+    raw = dict(raw)
+    shrink = ShrinkageParams(
+        alpha=float(raw.pop("alpha", 5.0)),
+        delta=float(raw.pop("delta", 0.0)),
+    )
+    unknown = set(raw) - {f.name for f in fields(HyperParams) if f.name != "shrink"}
+    if unknown:
+        raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
+    return HyperParams(shrink=shrink, **raw)
+
+
+def hyperparams_to_dict(hp: HyperParams) -> dict:
+    """The flat JSON form of ``hp`` read by :func:`hyperparams_from_dict`."""
+    d = asdict(hp)
+    shrink = d.pop("shrink")
+    d["alpha"], d["delta"] = shrink["alpha"], shrink["delta"]
+    return d
 
 
 @dataclass(frozen=True)

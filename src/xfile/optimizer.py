@@ -11,11 +11,16 @@ Per inner iteration the blocks are:
                               tangent at the current value, solved per row
   2. row flags psi         -- exact on/off comparison per row
   3. row coefficients beta -- safeguarded Newton step on the surrogate
-  4. column loadings v     -- mirror of step 1 over columns, on vstar = v*eta
-  5. column flags phi      -- mirror of step 2
-  6. column coefficients gamma -- mirror of step 3
+  4. column loadings v     -- step 1 on the transposed problem
+  5. column flags phi      -- step 2 on the transposed problem
+  6. column coefficients gamma -- step 3 on the transposed problem
   7. scale eta             -- exact conditional mode of eta^2 given vstar
   8. latent residual       -- truncated-data refresh (latent module)
+
+Steps 4-6 are steps 1-3 on the transposed problem (ztilde.T, mask.T,
+x<->w, u<->v, psi<->phi, beta<->gamma, zeta_n<->zeta_p) with one loading
+scale c: the prior sees loading * c ~ N(0, c^2), with c = 1 for the rows
+and c = eta for the columns, whose loadings enter as vstar = v * eta.
 
 Every block either maximizes the exact objective over its coordinates or
 accepts a surrogate proposal only when the exact objective does not
@@ -24,10 +29,11 @@ decrease, so the log-posterior is non-decreasing across steps 1-7.
 
 from dataclasses import dataclass
 from math import log, sqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .latent import LatentState, apply_transform, initial_latent, update_latent
+from .latent import apply_transform, initial_latent, update_latent
 from .model import (
     FactorContribution,
     FitResult,
@@ -73,8 +79,7 @@ class InnerState:
 
     ``ztilde`` is the latent residual after subtracting previously accepted
     factors.  ``fx`` and ``gw`` cache the link values frelu(x'beta) and
-    frelu(w'gamma); index sets are derived properties so they always match
-    the current parameter values.
+    frelu(w'gamma).
     """
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
@@ -97,22 +102,6 @@ class InnerState:
         self.fx = frelu(self.side.x @ self.beta, self.hp.eps_frelu)
         self.gw = frelu(self.side.w @ self.gamma, self.hp.eps_frelu)
 
-    @property
-    def active_rows(self):
-        return (self.psi * self.u) != 0
-
-    @property
-    def active_cols(self):
-        return (self.phi * self.v) != 0
-
-    @property
-    def link_rows(self):
-        return (self.side.x @ self.beta) > 0
-
-    @property
-    def link_cols(self):
-        return (self.side.w @ self.gamma) > 0
-
     def cells(self):
         return self.eta * np.outer(self.fx * self.psi * self.u,
                                    self.gw * self.phi * self.v)
@@ -133,69 +122,109 @@ def inner_logpost(state: InnerState) -> float:
     return lik + log_prior_contribution(state.candidate(rho=1), state.side, state.hp, state.h)
 
 
-def _masked_loglik_delta(state: InnerState, cells_on: np.ndarray, axis: int) -> np.ndarray:
-    """Row (axis=1) or column (axis=0) sums of the loss gain of switching the
-    corresponding block on: loss(ztilde) - loss(ztilde - cells_on)."""
-    two_b = 2.0 * state.hp.b_sigma
-    r_on = state.ztilde - cells_on
+class _Side(NamedTuple):
+    """One side of the candidate posed as the rows of its problem."""
+
+    ztilde: np.ndarray
+    mask: np.ndarray
+    design: np.ndarray
+    zeta: float
+    c: float
+    link: np.ndarray
+    loading: np.ndarray
+    flags: np.ndarray
+    coef: np.ndarray
+    other_link: np.ndarray
+    other_eff: np.ndarray  # the other side's flags * loading
+    outer: Callable        # outer(vector over this side, vector over the other)
+    names: tuple           # state attributes of loading, flags, coefficients
+
+    def store(self, state: InnerState, loading, flags) -> None:
+        setattr(state, self.names[0], loading)
+        setattr(state, self.names[1], flags)
+
+
+def _rows(state: InnerState) -> _Side:
+    return _Side(state.ztilde, state.mask, state.side.x, state.hp.zeta_n, 1.0,
+                 state.fx, state.u, state.psi, state.beta,
+                 state.gw, state.phi * state.v, np.outer, ("u", "psi", "beta"))
+
+
+def _columns(state: InnerState) -> _Side:
+    # The outer product is a transposed view of the (n, p) one, so every
+    # (p, n) temporary keeps ztilde's layout and its row sums add in the
+    # order of an axis-0 sum (a fresh (p, n) array would sum pairwise).
+    return _Side(state.ztilde.T, state.mask.T, state.side.w, state.hp.zeta_p, state.eta,
+                 state.gw, state.v, state.phi, state.gamma,
+                 state.fx, state.psi * state.u, lambda a, b: np.outer(b, a).T,
+                 ("v", "phi", "gamma"))
+
+
+def _masked_loglik_delta(s: _Side, hp: HyperParams, cells_on: np.ndarray) -> np.ndarray:
+    """Per-row sums of the loss gain of switching each row's block on:
+    loss(ztilde) - loss(ztilde - cells_on)."""
+    two_b = 2.0 * hp.b_sigma
+    r_on = s.ztilde - cells_on
     gain = np.where(
-        state.mask,
-        np.log1p(state.ztilde**2 / two_b) - np.log1p(r_on**2 / two_b),
+        s.mask,
+        np.log1p(s.ztilde**2 / two_b) - np.log1p(r_on**2 / two_b),
         0.0,
     )
-    return (state.hp.a_sigma + 0.5) * gain.sum(axis=axis)
+    return (hp.a_sigma + 0.5) * gain.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
-# Steps 1-2: row loadings and row flags
+# Steps 1-3 for one side (steps 4-6 are these on the transposed problem)
 # ---------------------------------------------------------------------------
 
-def step_u(state: InnerState) -> InnerState:
-    """Row-loading update from the quadratic surrogate, tangent at u^(t-1).
+def _update_loadings(state: InnerState, s: _Side) -> InnerState:
+    """Loading update from the quadratic surrogate, tangent at the current value.
 
-    Treating all rows as flagged on, the per-row closed form is
+    Treating all rows as flagged on, the per-row closed form for the scaled
+    loading l = loading * c is
 
-        u_i = (sum_j zbar_ij / D2_ij) / (sum_j 1 / D2_ij + 1 / (2(a+1/2)))
+        l_i = (sum_j zbar_ij / D2_ij) / (sum_j 1 / D2_ij + 1 / (2(a+1/2) c^2))
 
-    with A_ij = eta * frelu(x'beta) * frelu(w'gamma) * v_j over columns with
-    effective loading, zbar = ztilde / A and D2 = A^-2 {2b + (zbar - u)^2}.
-    Cells with A = 0 carry no information and are excluded.  Rows currently
-    flagged on take the proposal (surrogate tangency guarantees ascent);
-    rows flagged off adopt it, switching on, only when that strictly
-    increases the exact objective.
+    with A_ij = (eta / c) * frelu(x'beta) * frelu(w'gamma) * (flag * loading)
+    of the other side, over columns with effective loading, zbar = ztilde / A
+    and D2 = A^-2 {2b + (zbar - l)^2}.  Cells with A = 0 carry no
+    information and are excluded.  Rows currently flagged on take the
+    proposal (surrogate tangency guarantees ascent); rows flagged off adopt
+    it, switching on, only when that strictly increases the exact objective.
+    The stored loading is l / c.
     """
     hp = state.hp
-    col_eff = state.phi * state.v
-    if not np.any(col_eff != 0):
+    if not np.any(s.other_eff != 0):
         return state
-    A = state.eta * np.outer(state.fx, state.gw * col_eff)
-    valid = state.mask & (A != 0.0)
+    A = (state.eta / s.c) * s.outer(s.link, s.other_link * s.other_eff)
+    valid = s.mask & (A != 0.0)
     two_b = 2.0 * hp.b_sigma
-    r_tan = state.ztilde - A * state.u[:, None]
+    scaled = s.loading * s.c
+    r_tan = s.ztilde - A * scaled[:, None]
     denom = two_b + r_tan**2
     w = np.where(valid, A * A / denom, 0.0)
-    wz = np.where(valid, A * state.ztilde / denom, 0.0)
-    ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
-    u_prop = wz.sum(axis=1) / (w.sum(axis=1) + ridge)
+    wz = np.where(valid, A * s.ztilde / denom, 0.0)
+    ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5) * s.c**2)
+    prop = wz.sum(axis=1) / (w.sum(axis=1) + ridge)
 
-    active = state.psi == 1.0
-    u_new = np.where(active, u_prop, state.u)
-    inactive = ~active
+    inactive = s.flags != 1.0
+    new = np.where(inactive, scaled, prop)
+    flags = s.flags
     if inactive.any():
-        d_lik = _masked_loglik_delta(state, A * u_prop[:, None], axis=1)
+        d_lik = _masked_loglik_delta(s, hp, A * prop[:, None])
         d_post = (
-            log(hp.zeta_n / (1.0 - hp.zeta_n))
+            log(s.zeta / (1.0 - s.zeta))
             + d_lik
-            + 0.5 * (state.u**2 - u_prop**2)
+            + (scaled**2 - prop**2) / (2.0 * s.c**2)
         )
         switch_on = inactive & (d_post > 0.0)
-        u_new = np.where(switch_on, u_prop, u_new)
-        state.psi = np.where(switch_on, 1.0, state.psi)
-    state.u = u_new
+        new = np.where(switch_on, prop, new)
+        flags = np.where(switch_on, 1.0, flags)
+    s.store(state, new / s.c, flags)
     return state
 
 
-def step_psi(state: InnerState) -> InnerState:
+def _update_flags(state: InnerState, s: _Side) -> InnerState:
     """Exact per-row on/off decision for the sparsity flags.
 
     A row is flagged on iff the loss gain of its contribution (at the
@@ -203,167 +232,98 @@ def step_psi(state: InnerState) -> InnerState:
     the sparser state.  Loadings of rows flagged off are reset to the prior
     mode zero, which can only raise the objective.
     """
-    hp = state.hp
-    cells_on = state.eta * np.outer(state.fx * state.u, state.gw * state.phi * state.v)
-    d_lik = _masked_loglik_delta(state, cells_on, axis=1)
-    on = (log(hp.zeta_n / (1.0 - hp.zeta_n)) + d_lik) > 0.0
-    state.psi = on.astype(float)
-    state.u = np.where(on, state.u, 0.0)
+    cells_on = state.eta * s.outer(s.link * s.loading, s.other_link * s.other_eff)
+    d_lik = _masked_loglik_delta(s, state.hp, cells_on)
+    on = (log(s.zeta / (1.0 - s.zeta)) + d_lik) > 0.0
+    s.store(state, np.where(on, s.loading, 0.0), on.astype(float))
     return state
 
 
-# ---------------------------------------------------------------------------
-# Steps 3 and 6: coefficient vectors with Newton/gradient safeguard
-# ---------------------------------------------------------------------------
+def _update_coef(state: InnerState, s: _Side) -> InnerState:
+    """Safeguarded Newton update of the coefficient vector.
 
-def _safeguarded_coef_update(state, design, which: str) -> InnerState:
-    """Shared body of the beta/gamma updates.
-
-    Solves the ridge-regularized normal equations of the quadratic
-    surrogate, accepts the Newton point only if the exact objective does not
-    decrease, and otherwise backtracks along the (sub)gradient, halving the
-    step length from 0.1 at most 20 times; if no candidate keeps the
-    objective from decreasing the coefficients stay put.
+    Restricted to rows with positive linear score and columns with effective
+    loading.  Solves the ridge-regularized normal equations of the quadratic
+    surrogate (the prior ridge keeps them nonsingular), accepts the Newton
+    point only if the exact objective does not decrease, and otherwise
+    backtracks along the (sub)gradient, halving the step length from 0.1 at
+    most 20 times; if no candidate keeps the objective from decreasing the
+    coefficients stay put.
     """
     hp = state.hp
     two_b = 2.0 * hp.b_sigma
-    if which == "beta":
-        score = state.side.x @ state.beta
-        on_axis = (score > 0.0)[:, None]
-        other_ok = np.any(state.phi * state.v != 0)
-        A = state.eta * np.outer(state.psi * state.u, state.gw * state.phi * state.v)
-        link = state.fx[:, None]
-        mu = beta_prior_mean(state.side.q_x, hp.eps_frelu)
-        coef = state.beta
-    else:
-        score = state.side.w @ state.gamma
-        on_axis = (score > 0.0)[None, :]
-        other_ok = np.any(state.psi * state.u != 0)
-        A = state.eta * np.outer(state.fx * state.psi * state.u, state.phi * state.v)
-        link = state.gw[None, :]
-        mu = beta_prior_mean(state.side.q_w, hp.eps_frelu)
-        coef = state.gamma
-    if not on_axis.any() or not other_ok:
+    on_axis = ((s.design @ s.coef) > 0.0)[:, None]
+    if not on_axis.any() or not np.any(s.other_eff != 0):
         return state
+    A = state.eta * s.outer(s.flags * s.loading, s.other_link * s.other_eff)
+    mu = beta_prior_mean(s.design.shape[1], hp.eps_frelu)
 
-    valid = state.mask & on_axis & (A != 0.0)
-    r_tan = state.ztilde - A * link
+    valid = s.mask & on_axis & (A != 0.0)
+    r_tan = s.ztilde - A * s.link[:, None]
     denom = two_b + r_tan**2
     wmat = np.where(valid, A * A / denom, 0.0)
-    tmat = np.where(valid, A * state.ztilde / denom, 0.0)
+    tmat = np.where(valid, A * s.ztilde / denom, 0.0)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
-    if which == "beta":
-        wvec, tvec = wmat.sum(axis=1), tmat.sum(axis=1)
-    else:
-        wvec, tvec = wmat.sum(axis=0), tmat.sum(axis=0)
-    M = (design * wvec[:, None]).T @ design + ridge * np.eye(design.shape[1])
-    rhs = design.T @ tvec + ridge * mu
+    wvec, tvec = wmat.sum(axis=1), tmat.sum(axis=1)
+    M = (s.design * wvec[:, None]).T @ s.design + ridge * np.eye(s.design.shape[1])
+    rhs = s.design.T @ tvec + ridge * mu
     newton = np.linalg.solve(M, rhs)
 
     j_before = inner_logpost(state)
 
     def try_coef(value) -> float:
-        if which == "beta":
-            state.beta = value
-        else:
-            state.gamma = value
+        setattr(state, s.names[2], value)
         state.refresh_links()
         return inner_logpost(state)
 
-    j_newton = try_coef(newton)
-    if j_newton >= j_before:
-        state.logpost = j_newton
-        return state
-
-    # Newton point rejected: short gradient moves along the subgradient
-    # (zero wherever the link is flat).
-    try_coef(coef)
-    r_cur = state.ztilde - A * link
-    gmat = np.where(
-        state.mask & on_axis & (A != 0.0),
-        2.0 * r_cur * A / (two_b + r_cur**2),
-        0.0,
-    )
-    gsum = gmat.sum(axis=1) if which == "beta" else gmat.sum(axis=0)
-    grad = (hp.a_sigma + 0.5) * (design.T @ gsum) - (coef - mu)
-    step = GRADIENT_STEP_INIT
-    for _ in range(GRADIENT_MAX_HALVINGS + 1):
-        j_step = try_coef(coef + step * grad)
-        if j_step >= j_before:
-            state.logpost = j_step
-            return state
-        step *= 0.5
-    try_coef(coef)
-    state.logpost = j_before
+    j = try_coef(newton)
+    if not j >= j_before:
+        # Newton point rejected: short gradient moves along the subgradient
+        # (zero wherever the link is flat), from the tangent point.
+        try_coef(s.coef)
+        gmat = np.where(valid, 2.0 * r_tan * A / denom, 0.0)
+        grad = (hp.a_sigma + 0.5) * (s.design.T @ gmat.sum(axis=1)) - (s.coef - mu)
+        step = GRADIENT_STEP_INIT
+        for _ in range(GRADIENT_MAX_HALVINGS + 1):
+            j = try_coef(s.coef + step * grad)
+            if j >= j_before:
+                break
+            step *= 0.5
+        else:
+            try_coef(s.coef)
+            j = j_before
+    state.logpost = j
     return state
+
+
+def step_u(state: InnerState) -> InnerState:
+    """Step 1: row loadings (:func:`_update_loadings` with c = 1)."""
+    return _update_loadings(state, _rows(state))
+
+
+def step_psi(state: InnerState) -> InnerState:
+    """Step 2: row flags with rate zeta_n (:func:`_update_flags`)."""
+    return _update_flags(state, _rows(state))
 
 
 def step_beta(state: InnerState) -> InnerState:
-    """Safeguarded Newton update of the row coefficient vector.
+    """Step 3: row coefficients (:func:`_update_coef`)."""
+    return _update_coef(state, _rows(state))
 
-    Restricted to rows with positive linear score and columns with effective
-    loading; the surrogate's normal matrix always carries the prior ridge,
-    so it cannot be singular.
-    """
-    return _safeguarded_coef_update(state, state.side.x, "beta")
-
-
-def step_gamma(state: InnerState) -> InnerState:
-    """Column mirror of :func:`step_beta`."""
-    return _safeguarded_coef_update(state, state.side.w, "gamma")
-
-
-# ---------------------------------------------------------------------------
-# Steps 4-5: column loadings and flags (on the eta-scaled vstar)
-# ---------------------------------------------------------------------------
 
 def step_v(state: InnerState) -> InnerState:
-    """Column-loading update on vstar = v * eta, whose prior is N(0, eta^2).
-
-    Mirror of :func:`step_u` over columns; the ridge becomes
-    1 / (2(a+1/2) eta^2) and the stored loadings are vstar / eta.
-    """
-    hp = state.hp
-    row_eff = state.psi * state.u
-    if not np.any(row_eff != 0):
-        return state
-    A = np.outer(state.fx * row_eff, state.gw)
-    valid = state.mask & (A != 0.0)
-    two_b = 2.0 * hp.b_sigma
-    vstar = state.v * state.eta
-    r_tan = state.ztilde - A * vstar[None, :]
-    denom = two_b + r_tan**2
-    w = np.where(valid, A * A / denom, 0.0)
-    wz = np.where(valid, A * state.ztilde / denom, 0.0)
-    ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5) * state.eta**2)
-    vs_prop = wz.sum(axis=0) / (w.sum(axis=0) + ridge)
-
-    active = state.phi == 1.0
-    vs_new = np.where(active, vs_prop, vstar)
-    inactive = ~active
-    if inactive.any():
-        d_lik = _masked_loglik_delta(state, A * vs_prop[None, :], axis=0)
-        d_post = (
-            log(hp.zeta_p / (1.0 - hp.zeta_p))
-            + d_lik
-            + (vstar**2 - vs_prop**2) / (2.0 * state.eta**2)
-        )
-        switch_on = inactive & (d_post > 0.0)
-        vs_new = np.where(switch_on, vs_prop, vs_new)
-        state.phi = np.where(switch_on, 1.0, state.phi)
-    state.v = vs_new / state.eta
-    return state
+    """Step 4: column loadings, step 1 on the transposed problem with c = eta."""
+    return _update_loadings(state, _columns(state))
 
 
 def step_phi(state: InnerState) -> InnerState:
-    """Column mirror of :func:`step_psi` with rate zeta_p."""
-    hp = state.hp
-    cells_on = state.eta * np.outer(state.fx * state.psi * state.u, state.gw * state.v)
-    d_lik = _masked_loglik_delta(state, cells_on, axis=0)
-    on = (log(hp.zeta_p / (1.0 - hp.zeta_p)) + d_lik) > 0.0
-    state.phi = on.astype(float)
-    state.v = np.where(on, state.v, 0.0)
-    return state
+    """Step 5: column flags, step 2 on the transposed problem (rate zeta_p)."""
+    return _update_flags(state, _columns(state))
+
+
+def step_gamma(state: InnerState) -> InnerState:
+    """Step 6: column coefficients, step 3 on the transposed problem."""
+    return _update_coef(state, _columns(state))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +371,6 @@ def run_inner(
     data: ObservedMatrix | None = None,
     fitted_prev: np.ndarray | None = None,
     on_step=None,
-    warmup: bool = True,
 ) -> list[float]:
     """Cycles the coordinate steps until the relative objective change drops
     below ``hp.tol`` or ``hp.max_inner_iters`` is reached.
@@ -428,32 +387,24 @@ def run_inner(
     truncated = data is not None and data.transform == Transform.NONNEG_TRUNCATION
     j_prev = inner_logpost(state)
     trace = [j_prev]
-    in_warmup = warmup
     warmup_left = WARMUP_MAX_ITERS
-    budget = hp.max_inner_iters + (WARMUP_MAX_ITERS if warmup else 0)
-    for _ in range(budget):
-        steps = _WARMUP_STEPS if in_warmup else _STEPS
-        for name, fn in steps:
+    for _ in range(hp.max_inner_iters + WARMUP_MAX_ITERS):
+        for name, fn in _WARMUP_STEPS if warmup_left else _STEPS:
             fn(state)
             if on_step is not None:
                 on_step(name, state)
         if truncated:
-            ls = update_latent(
-                LatentState(state.ztilde, fitted_prev, fitted_prev + state.cells()),
-                data,
+            state.ztilde = update_latent(
+                state.ztilde, fitted_prev, fitted_prev + state.cells(), data
             )
-            state.ztilde = ls.z_tilde
             if on_step is not None:
                 on_step("latent", state)
         j = inner_logpost(state)
         trace.append(j)
-        converged = abs(j - j_prev) <= hp.tol * max(1.0, abs(j_prev))
-        if in_warmup:
-            warmup_left -= 1
-            settled = abs(j - j_prev) <= WARMUP_REL_TOL * max(1.0, abs(j_prev))
-            if settled or warmup_left <= 0:
-                in_warmup = False
-        elif converged:
+        change, scale = abs(j - j_prev), max(1.0, abs(j_prev))
+        if warmup_left:
+            warmup_left = 0 if change <= WARMUP_REL_TOL * scale else warmup_left - 1
+        elif change <= hp.tol * scale:
             break
         j_prev = j
     state.logpost = trace[-1]
@@ -600,8 +551,7 @@ def fit(
 
         # Empty alternative: candidate at prior modes, switched off.
         if truncated:
-            ls0 = update_latent(LatentState(latent - fitted, fitted, fitted), data)
-            z0 = ls0.z_tilde
+            z0 = update_latent(latent - fitted, fitted, fitted, data)
         else:
             z0 = latent - fitted
         lik0 = float(np.sum(cell_marginal_loglik(z0[data.mask], hp.a_sigma, hp.b_sigma)))

@@ -108,17 +108,13 @@ def prob_active(h: int, params: ShrinkageParams) -> float:
         raise ValueError(f"h must be >= 1, got {h}")
     a, d = params.alpha, params.delta
     if d == 0.0:
-        return exp(h * (log(a) - log1p_pos(a))) if a > 0 else 0.0
+        return exp(h * (log(a) - log(1.0 + a))) if a > 0 else 0.0
     return exp(
         lgamma(h + 1.0 + a / d)
         + lgamma((1.0 + a) / d)
         - lgamma(h + (1.0 + a) / d)
         - lgamma(1.0 + a / d)
     )
-
-
-def log1p_pos(x: float) -> float:
-    return log(1.0 + x)
 
 
 def activation_tail(params: ShrinkageParams, H: int) -> float:

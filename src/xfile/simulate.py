@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import HyperParams, ObservedMatrix, SideInfo, Transform, frelu
+from .model import HyperParams, ObservedMatrix, SideInfo, Transform, frelu, hyperparams_to_dict
 from .optimizer import fit, predict_matrix
 
 __all__ = [
@@ -236,20 +236,12 @@ class ExperimentReport:
     def header_lines(self) -> list[str]:
         meta = {
             "scenario": asdict(self.spec),
-            "hyper": _hyper_dict(self.hyper),
+            "hyper": hyperparams_to_dict(self.hyper),
             "conventions": "covariate columns alternate Bernoulli(0.5)/N(0,1); "
                            "intercept prepended; factor coefficients N(0,1)",
             "errors": list(self.errors),
         }
         return ["# " + json.dumps(meta, sort_keys=True)]
-
-
-def _hyper_dict(hp: HyperParams) -> dict:
-    d = asdict(hp)
-    shrink = d.pop("shrink")
-    d["alpha"] = shrink["alpha"]
-    d["delta"] = shrink["delta"]
-    return d
 
 
 def _replicate_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:

@@ -4,56 +4,48 @@ import numpy as np
 import pytest
 
 from conftest import make_hp, make_side
-from xfile.latent import LatentState, apply_transform, initial_latent, update_latent
+from xfile.latent import apply_transform, initial_latent, update_latent
 from xfile.model import ObservedMatrix, Transform
 from xfile.optimizer import fit
 from xfile.shrinkage import ShrinkageParams
 
 
-def _state(z, prev, curr):
-    return LatentState(
-        z_tilde=np.array([[float(z)]]),
-        fitted_prev=np.array([[float(prev)]]),
-        fitted_curr=np.array([[float(curr)]]),
-    )
+def _cell(z, prev, curr):
+    """(z_tilde, fitted_prev, fitted_curr) for a single cell."""
+    return np.array([[float(z)]]), np.array([[float(prev)]]), np.array([[float(curr)]])
 
 
 class TestUpdateLatent:
     def test_positive_cell_subtracts_previous_fit(self):
         data = ObservedMatrix(np.array([[3.0]]), np.ones((1, 1), bool),
                               Transform.NONNEG_TRUNCATION)
-        out = update_latent(_state(0.0, 1.0, 1.4), data)
-        assert out.z_tilde[0, 0] == pytest.approx(2.0)
+        out = update_latent(*_cell(0.0, 1.0, 1.4), data)
+        assert out[0, 0] == pytest.approx(2.0)
 
     def test_zero_cell_interior_mode(self):
         # cumulative fit -1 below the bound 0.5: keep the interior value
         data = ObservedMatrix(np.array([[0.0]]), np.ones((1, 1), bool),
                               Transform.NONNEG_TRUNCATION)
-        out = update_latent(_state(9.9, -0.5, -1.0), data)
-        assert out.z_tilde[0, 0] == pytest.approx(-1.0)
+        out = update_latent(*_cell(9.9, -0.5, -1.0), data)
+        assert out[0, 0] == pytest.approx(-1.0)
 
     def test_zero_cell_clipped_at_bound(self):
         data = ObservedMatrix(np.array([[0.0]]), np.ones((1, 1), bool),
                               Transform.NONNEG_TRUNCATION)
-        out = update_latent(_state(9.9, 0.5, 0.2), data)
-        assert out.z_tilde[0, 0] == pytest.approx(-0.5)
+        out = update_latent(*_cell(9.9, 0.5, 0.2), data)
+        assert out[0, 0] == pytest.approx(-0.5)
 
     def test_identity_noop(self):
         data = ObservedMatrix(np.array([[3.0]]), np.ones((1, 1), bool))
-        state = _state(123.0, 1.0, 2.0)
-        assert update_latent(state, data) is state
+        z, prev, curr = _cell(123.0, 1.0, 2.0)
+        assert update_latent(z, prev, curr, data) is z
 
     def test_unobserved_cells_untouched(self):
         values = np.array([[0.0, 2.0]])
         mask = np.array([[True, False]])
         data = ObservedMatrix(values, mask, Transform.NONNEG_TRUNCATION)
-        state = LatentState(
-            z_tilde=np.array([[5.0, 7.0]]),
-            fitted_prev=np.zeros((1, 2)),
-            fitted_curr=np.ones((1, 2)),
-        )
-        out = update_latent(state, data)
-        assert out.z_tilde[0, 1] == 7.0
+        out = update_latent(np.array([[5.0, 7.0]]), np.zeros((1, 2)), np.ones((1, 2)), data)
+        assert out[0, 1] == 7.0
 
     def test_invariants_after_update(self, rng):
         n = p = 8
@@ -61,13 +53,11 @@ class TestUpdateLatent:
         data = ObservedMatrix(values, np.ones((n, p), bool), Transform.NONNEG_TRUNCATION)
         prev = rng.standard_normal((n, p))
         curr = prev + rng.standard_normal((n, p))
-        state = LatentState(z_tilde=rng.standard_normal((n, p)),
-                            fitted_prev=prev, fitted_curr=curr)
-        out = update_latent(state, data)
+        out = update_latent(rng.standard_normal((n, p)), prev, curr, data)
         pos = values > 0
-        np.testing.assert_allclose(out.z_tilde[pos], (values - prev)[pos])
+        np.testing.assert_allclose(out[pos], (values - prev)[pos])
         zero = values == 0
-        assert np.all((prev + out.z_tilde)[zero] <= 1e-12)
+        assert np.all((prev + out)[zero] <= 1e-12)
 
 
 class TestApplyTransform:

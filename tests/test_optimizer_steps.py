@@ -1,6 +1,7 @@
 """Coordinate-ascent steps: closed forms, surrogate bound, safeguards."""
 
 import copy
+from dataclasses import replace
 from math import log
 
 import numpy as np
@@ -240,6 +241,36 @@ class TestStepV:
             bounds=(0.0, 3.0), method="bounded", options={"xatol": 1e-12},
         )
         assert state.v[0] * eta == pytest.approx(res.x, rel=1e-4)
+
+
+def _transposed(state):
+    """The candidate posed on the transposed problem: ztilde.T, mask.T,
+    x<->w, u<->v, psi<->phi, beta<->gamma, zeta_n<->zeta_p."""
+    return InnerState(
+        ztilde=state.ztilde.T.copy(), mask=state.mask.T.copy(),
+        side=SideInfo(x=state.side.w, w=state.side.x),
+        hp=replace(state.hp, zeta_n=state.hp.zeta_p, zeta_p=state.hp.zeta_n), h=state.h,
+        u=state.v.copy(), psi=state.phi.copy(), beta=state.gamma.copy(),
+        v=state.u.copy(), phi=state.psi.copy(), gamma=state.beta.copy(), eta=state.eta,
+    )
+
+
+class TestRowColumnMirror:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_column_steps_are_row_steps_of_transposed_state(self, seed):
+        # at eta = 1 the column loadings share the rows' N(0, 1) prior, so
+        # the column steps must act as the row steps of the transposed state
+        rng = np.random.default_rng(600 + seed)
+        state = random_state(rng, n=7, p=5, q_x=3, q_w=2,
+                             hp=make_hp(zeta_n=0.2, zeta_p=0.35))
+        state.eta = 1.0
+        for col_step, row_step in ((step_v, step_u), (step_phi, step_psi),
+                                   (step_gamma, step_beta)):
+            cols = col_step(copy.deepcopy(state))
+            rows = row_step(_transposed(state))
+            np.testing.assert_allclose(cols.v, rows.u, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(cols.phi, rows.psi)
+            np.testing.assert_allclose(cols.gamma, rows.beta, rtol=1e-12, atol=0)
 
 
 class TestStepEta:
