@@ -242,7 +242,8 @@ class FactorContribution:
     def cells(self, side: SideInfo, eps: float) -> np.ndarray:
         """Materialized n x p contribution (zero matrix when rho = 0)."""
         scale = self.rho * self.eta
-        return scale * np.outer(self.row_factor(side, eps), self.col_factor(side, eps))
+        rows, cols = self.row_factor(side, eps), self.col_factor(side, eps)
+        return scale * (rows[:, None] * cols[None, :])
 
     def flip_signs(self) -> "FactorContribution":
         return replace(self, u_tilde=-self.u_tilde, v_tilde=-self.v_tilde)
@@ -281,9 +282,13 @@ def cell_marginal_loglik(residual, a_sigma: float, b_sigma: float):
     """
     if a_sigma <= 0 or b_sigma <= 0:
         raise ValueError("a_sigma and b_sigma must be > 0")
-    r = np.asarray(residual, dtype=float)
-    out = -(a_sigma + 0.5) * np.log1p(r * r / (2.0 * b_sigma))
+    out = _cell_loss(np.asarray(residual, dtype=float), -(a_sigma + 0.5), 2.0 * b_sigma)
     return float(out) if np.isscalar(residual) else out
+
+
+def _cell_loss(r: np.ndarray, neg_a_half: float, two_b: float) -> np.ndarray:
+    """The Student-t cell loss from its constants -(a_sigma + 1/2) and 2 b_sigma."""
+    return neg_a_half * np.log1p(r * r / two_b)
 
 
 def _log_invgamma(x: float, shape: float, rate: float) -> float:
@@ -294,12 +299,12 @@ def _log_invgamma(x: float, shape: float, rate: float) -> float:
 
 
 def _log_normal_quad(x: np.ndarray, mean: np.ndarray | float, var: float) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(-0.5 * x.size * (LOG_2PI + log(var)) - 0.5 * np.sum((x - mean) ** 2) / var)
+    d = x - mean
+    return float(-0.5 * d.size * (LOG_2PI + log(var)) - 0.5 * (d * d).sum() / var)
 
 
 def _log_bernoulli(flags: np.ndarray, rate: float) -> float:
-    n_on = float(np.sum(flags))
+    n_on = float(flags.sum())
     return n_on * log(rate) + (flags.size - n_on) * log(1.0 - rate)
 
 
@@ -327,23 +332,29 @@ def log_prior_contribution(
     """
     if c.eta <= 0:
         raise ValueError(f"eta must be > 0, got {c.eta}")
-    mu_b = beta_prior_mean(side.q_x, hp.eps_frelu)
-    mu_g = beta_prior_mean(side.q_w, hp.eps_frelu)
-    eta2 = c.eta**2
-    vstar = c.v_tilde * c.eta
-    total = (
-        _log_normal_quad(c.u_tilde, 0.0, 1.0)
-        + _log_bernoulli(c.psi_tilde, hp.zeta_n)
-        + _log_normal_quad(vstar, 0.0, eta2)
-        + _log_bernoulli(c.phi_tilde, hp.zeta_p)
-        + _log_normal_quad(c.beta, mu_b, 1.0)
-        + _log_normal_quad(c.gamma, mu_g, 1.0)
-        + _log_invgamma(eta2, hp.a_eta, hp.b_eta)
+    total = _log_prior(
+        c.u_tilde, c.psi_tilde, c.beta, c.v_tilde, c.phi_tilde, c.gamma, c.eta,
+        beta_prior_mean(side.q_x, hp.eps_frelu), beta_prior_mean(side.q_w, hp.eps_frelu), hp,
     )
     if include_activation:
         q_h = prob_active(h, hp.shrink)
         total += log(q_h) if c.rho == 1 else log(1.0 - q_h)
     return total
+
+
+def _log_prior(u, psi, beta, v, phi, gamma, eta: float, mu_b, mu_g, hp: HyperParams) -> float:
+    """Log prior of one contribution's parameter arrays, activation excluded;
+    ``mu_b``/``mu_g`` are the coefficient prior means."""
+    eta2 = eta**2
+    return (
+        _log_normal_quad(u, 0.0, 1.0)
+        + _log_bernoulli(psi, hp.zeta_n)
+        + _log_normal_quad(v * eta, 0.0, eta2)
+        + _log_bernoulli(phi, hp.zeta_p)
+        + _log_normal_quad(beta, mu_b, 1.0)
+        + _log_normal_quad(gamma, mu_g, 1.0)
+        + _log_invgamma(eta2, hp.a_eta, hp.b_eta)
+    )
 
 
 def prior_mode_contribution(side: SideInfo, hp: HyperParams, rho: int = 0) -> FactorContribution:

@@ -25,6 +25,16 @@ and c = eta for the columns, whose loadings enter as vstar = v * eta.
 Every block either maximizes the exact objective over its coordinates or
 accepts a surrogate proposal only when the exact objective does not
 decrease, so the log-posterior is non-decreasing across steps 1-7.
+
+The exact objective (:func:`inner_logpost`) is summed straight from the
+state's arrays.  What no step changes is cached on the :class:`InnerState`
+when it is built: the coefficient prior means, log Pr(rho_h = 1) and the
+Student-t constants.  The loss of the residual with the candidate switched
+off, which every flag decision compares against, is cached too and is
+recomputed only when ``ztilde`` is replaced, i.e. at the latent refresh of
+truncated data.  The coefficient safeguard evaluates the objective once
+before its step and once per trial point; restoring the coefficients reuses
+the value from before the step.
 """
 
 from dataclasses import dataclass
@@ -41,6 +51,8 @@ from .model import (
     ObservedMatrix,
     SideInfo,
     Transform,
+    _cell_loss,
+    _log_prior,
     beta_prior_mean,
     cell_marginal_loglik,
     frelu,
@@ -74,20 +86,41 @@ GRADIENT_STEP_INIT = 0.1
 GRADIENT_MAX_HALVINGS = 20
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The outer product of two vectors (the products of ``np.outer``)."""
+    return a[:, None] * b[None, :]
+
+
 class InnerState:
     """Mutable candidate state for one factor's coordinate ascent.
 
     ``ztilde`` is the latent residual after subtracting previously accepted
     factors.  ``fx`` and ``gw`` cache the link values frelu(x'beta) and
-    frelu(w'gamma).
+    frelu(w'gamma); :meth:`refresh_links` recomputes them and must follow
+    every change of ``beta`` or ``gamma``.
+
+    ``side``, ``hp`` and ``h`` are fixed for the life of the state, and the
+    constants of the objective that follow from them are cached when it is
+    built: the coefficient prior means ``mu_b``/``mu_g``, ``log_q`` =
+    log Pr(rho_h = 1), ``neg_a_half`` = -(a_sigma + 1/2) and ``two_b`` =
+    2 b_sigma.  ``off_loss`` = log1p(ztilde^2 / two_b), the per-cell loss
+    (over -(a_sigma + 1/2)) of the residual with the candidate switched
+    off, is recomputed whenever ``ztilde`` is assigned (in-place updates
+    must be assigned back); in a fit that is the latent refresh of
+    :func:`run_inner`.
     """
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
-        self.ztilde = np.asarray(ztilde, dtype=float)
         self.mask = np.asarray(mask, dtype=bool)
         self.side = side
         self.hp = hp
         self.h = h
+        self.mu_b = beta_prior_mean(side.q_x, hp.eps_frelu)
+        self.mu_g = beta_prior_mean(side.q_w, hp.eps_frelu)
+        self.log_q = log(prob_active(h, hp.shrink))
+        self.neg_a_half = -(hp.a_sigma + 0.5)
+        self.two_b = 2.0 * hp.b_sigma
+        self.ztilde = ztilde
         self.u = np.asarray(u, dtype=float)
         self.psi = np.asarray(psi, dtype=float)
         self.beta = np.asarray(beta, dtype=float)
@@ -98,13 +131,21 @@ class InnerState:
         self.refresh_links()
         self.logpost = inner_logpost(self)
 
+    @property
+    def ztilde(self) -> np.ndarray:
+        return self._ztilde
+
+    @ztilde.setter
+    def ztilde(self, value):
+        self._ztilde = np.asarray(value, dtype=float)
+        self.off_loss = np.log1p(self._ztilde**2 / self.two_b)
+
     def refresh_links(self):
         self.fx = frelu(self.side.x @ self.beta, self.hp.eps_frelu)
         self.gw = frelu(self.side.w @ self.gamma, self.hp.eps_frelu)
 
     def cells(self):
-        return self.eta * np.outer(self.fx * self.psi * self.u,
-                                   self.gw * self.phi * self.v)
+        return self.eta * _outer(self.fx * self.psi * self.u, self.gw * self.phi * self.v)
 
     def candidate(self, rho: int = 1) -> FactorContribution:
         return FactorContribution(
@@ -116,18 +157,27 @@ class InnerState:
 
 def inner_logpost(state: InnerState) -> float:
     """Exact objective for the current candidate: masked data loss plus the
-    candidate's log prior (activation term included, rho = 1)."""
+    candidate's log prior (activation term included, rho = 1).
+
+    Equal, bit for bit, to ``cell_marginal_loglik`` summed over the masked
+    residual plus ``log_prior_contribution(state.candidate(1), ...)``, but
+    read from the state's arrays and cached constants.
+    """
     resid = (state.ztilde - state.cells())[state.mask]
-    lik = float(np.sum(cell_marginal_loglik(resid, state.hp.a_sigma, state.hp.b_sigma)))
-    return lik + log_prior_contribution(state.candidate(rho=1), state.side, state.hp, state.h)
+    lik = float(np.sum(_cell_loss(resid, state.neg_a_half, state.two_b)))
+    prior = _log_prior(state.u, state.psi, state.beta, state.v, state.phi, state.gamma,
+                       state.eta, state.mu_b, state.mu_g, state.hp)
+    return lik + (prior + state.log_q)  # grouped as log_prior_contribution adds them
 
 
 class _Side(NamedTuple):
     """One side of the candidate posed as the rows of its problem."""
 
     ztilde: np.ndarray
+    off_loss: np.ndarray   # the state's off_loss in this orientation
     mask: np.ndarray
     design: np.ndarray
+    mu: np.ndarray         # prior mean of the coefficients
     zeta: float
     c: float
     link: np.ndarray
@@ -145,32 +195,30 @@ class _Side(NamedTuple):
 
 
 def _rows(state: InnerState) -> _Side:
-    return _Side(state.ztilde, state.mask, state.side.x, state.hp.zeta_n, 1.0,
-                 state.fx, state.u, state.psi, state.beta,
-                 state.gw, state.phi * state.v, np.outer, ("u", "psi", "beta"))
+    return _Side(state.ztilde, state.off_loss, state.mask, state.side.x, state.mu_b,
+                 state.hp.zeta_n, 1.0, state.fx, state.u, state.psi, state.beta,
+                 state.gw, state.phi * state.v, _outer, ("u", "psi", "beta"))
+
+
+def _outer_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _outer(b, a).T
 
 
 def _columns(state: InnerState) -> _Side:
     # The outer product is a transposed view of the (n, p) one, so every
     # (p, n) temporary keeps ztilde's layout and its row sums add in the
     # order of an axis-0 sum (a fresh (p, n) array would sum pairwise).
-    return _Side(state.ztilde.T, state.mask.T, state.side.w, state.hp.zeta_p, state.eta,
-                 state.gw, state.v, state.phi, state.gamma,
-                 state.fx, state.psi * state.u, lambda a, b: np.outer(b, a).T,
-                 ("v", "phi", "gamma"))
+    return _Side(state.ztilde.T, state.off_loss.T, state.mask.T, state.side.w, state.mu_g,
+                 state.hp.zeta_p, state.eta, state.gw, state.v, state.phi, state.gamma,
+                 state.fx, state.psi * state.u, _outer_t, ("v", "phi", "gamma"))
 
 
-def _masked_loglik_delta(s: _Side, hp: HyperParams, cells_on: np.ndarray) -> np.ndarray:
+def _masked_loglik_delta(s: _Side, state: InnerState, cells_on: np.ndarray) -> np.ndarray:
     """Per-row sums of the loss gain of switching each row's block on:
     loss(ztilde) - loss(ztilde - cells_on)."""
-    two_b = 2.0 * hp.b_sigma
     r_on = s.ztilde - cells_on
-    gain = np.where(
-        s.mask,
-        np.log1p(s.ztilde**2 / two_b) - np.log1p(r_on**2 / two_b),
-        0.0,
-    )
-    return (hp.a_sigma + 0.5) * gain.sum(axis=1)
+    gain = np.where(s.mask, s.off_loss - np.log1p(r_on**2 / state.two_b), 0.0)
+    return (state.hp.a_sigma + 0.5) * gain.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +246,9 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
         return state
     A = (state.eta / s.c) * s.outer(s.link, s.other_link * s.other_eff)
     valid = s.mask & (A != 0.0)
-    two_b = 2.0 * hp.b_sigma
     scaled = s.loading * s.c
     r_tan = s.ztilde - A * scaled[:, None]
-    denom = two_b + r_tan**2
+    denom = state.two_b + r_tan**2
     w = np.where(valid, A * A / denom, 0.0)
     wz = np.where(valid, A * s.ztilde / denom, 0.0)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5) * s.c**2)
@@ -211,7 +258,7 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
     new = np.where(inactive, scaled, prop)
     flags = s.flags
     if inactive.any():
-        d_lik = _masked_loglik_delta(s, hp, A * prop[:, None])
+        d_lik = _masked_loglik_delta(s, state, A * prop[:, None])
         d_post = (
             log(s.zeta / (1.0 - s.zeta))
             + d_lik
@@ -233,7 +280,7 @@ def _update_flags(state: InnerState, s: _Side) -> InnerState:
     mode zero, which can only raise the objective.
     """
     cells_on = state.eta * s.outer(s.link * s.loading, s.other_link * s.other_eff)
-    d_lik = _masked_loglik_delta(s, state.hp, cells_on)
+    d_lik = _masked_loglik_delta(s, state, cells_on)
     on = (log(s.zeta / (1.0 - s.zeta)) + d_lik) > 0.0
     s.store(state, np.where(on, s.loading, 0.0), on.astype(float))
     return state
@@ -248,25 +295,25 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     point only if the exact objective does not decrease, and otherwise
     backtracks along the (sub)gradient, halving the step length from 0.1 at
     most 20 times; if no candidate keeps the objective from decreasing the
-    coefficients stay put.
+    coefficients stay put.  The objective is evaluated once before the step
+    and once per trial point; putting the coefficients back only refreshes
+    the links, and the objective is then the value from before the step.
     """
     hp = state.hp
-    two_b = 2.0 * hp.b_sigma
     on_axis = ((s.design @ s.coef) > 0.0)[:, None]
     if not on_axis.any() or not np.any(s.other_eff != 0):
         return state
     A = state.eta * s.outer(s.flags * s.loading, s.other_link * s.other_eff)
-    mu = beta_prior_mean(s.design.shape[1], hp.eps_frelu)
 
     valid = s.mask & on_axis & (A != 0.0)
     r_tan = s.ztilde - A * s.link[:, None]
-    denom = two_b + r_tan**2
+    denom = state.two_b + r_tan**2
     wmat = np.where(valid, A * A / denom, 0.0)
     tmat = np.where(valid, A * s.ztilde / denom, 0.0)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
     wvec, tvec = wmat.sum(axis=1), tmat.sum(axis=1)
     M = (s.design * wvec[:, None]).T @ s.design + ridge * np.eye(s.design.shape[1])
-    rhs = s.design.T @ tvec + ridge * mu
+    rhs = s.design.T @ tvec + ridge * s.mu
     newton = np.linalg.solve(M, rhs)
 
     j_before = inner_logpost(state)
@@ -280,9 +327,8 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     if not j >= j_before:
         # Newton point rejected: short gradient moves along the subgradient
         # (zero wherever the link is flat), from the tangent point.
-        try_coef(s.coef)
         gmat = np.where(valid, 2.0 * r_tan * A / denom, 0.0)
-        grad = (hp.a_sigma + 0.5) * (s.design.T @ gmat.sum(axis=1)) - (s.coef - mu)
+        grad = (hp.a_sigma + 0.5) * (s.design.T @ gmat.sum(axis=1)) - (s.coef - s.mu)
         step = GRADIENT_STEP_INIT
         for _ in range(GRADIENT_MAX_HALVINGS + 1):
             j = try_coef(s.coef + step * grad)
@@ -290,7 +336,8 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
                 break
             step *= 0.5
         else:
-            try_coef(s.coef)
+            setattr(state, s.names[2], s.coef)
+            state.refresh_links()
             j = j_before
     state.logpost = j
     return state

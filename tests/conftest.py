@@ -42,12 +42,16 @@ def random_contribution(n, p, q_x, q_w, rng, rho=1) -> FactorContribution:
     )
 
 
-def random_state(rng, n=8, p=7, q_x=2, q_w=2, hp=None, sparse_frac=0.5) -> InnerState:
-    """Random inner state with a mix of on/off flags and a masked residual."""
+def random_state(rng, n=8, p=7, q_x=2, q_w=2, hp=None, sparse_frac=0.5, h=1,
+                 full_mask=False) -> InnerState:
+    """Random inner state with a mix of on/off flags and a masked residual
+    (every cell observed with ``full_mask``)."""
     hp = hp or make_hp()
     side = make_side(n, p, q_x, q_w, rng)
     ztilde = rng.standard_normal((n, p)) * 2.0
     mask = rng.random((n, p)) > 0.15
+    if full_mask:
+        mask[:] = True
     if not mask.any():
         mask[0, 0] = True
     return InnerState(
@@ -55,7 +59,7 @@ def random_state(rng, n=8, p=7, q_x=2, q_w=2, hp=None, sparse_frac=0.5) -> Inner
         mask=mask,
         side=side,
         hp=hp,
-        h=1,
+        h=h,
         u=rng.standard_normal(n),
         psi=(rng.random(n) > sparse_frac).astype(float),
         beta=rng.standard_normal(q_x) * 0.7 + np.eye(q_x)[0],

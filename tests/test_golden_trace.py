@@ -1,0 +1,68 @@
+"""Golden traces: two small seeded fits must keep their rank and objective trace.
+
+The expected values in ``data/golden_traces.json`` were recorded from the
+code before the objective was read from the state's cached arrays; a
+speed-up that changes any number of these fits fails here.  The cases are
+built by :func:`build_case` alone, so the file can be recorded again with
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
+        import test_golden_trace as g; g.record()"
+
+which should only ever be done by a change that means to alter results.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from xfile.model import HyperParams, ObservedMatrix, SideInfo, Transform
+from xfile.optimizer import fit
+from xfile.shrinkage import ShrinkageParams
+
+GOLDEN = Path(__file__).parent / "data" / "golden_traces.json"
+CASES = ("identity-holdout", "truncated")
+
+
+def build_case(name):
+    """Seeded 30 x 25 data, side information and hyperparameters of one case."""
+    n, p = 30, 25
+    rng = np.random.default_rng(2024 if name == "identity-holdout" else 2025)
+    side = SideInfo(
+        x=np.column_stack([np.ones(n), rng.standard_normal((n, 2))]),
+        w=np.column_stack([np.ones(p), rng.standard_normal((p, 2))]),
+    )
+    latent = (4.0 * np.outer(np.abs(rng.standard_normal(n)), rng.standard_normal(p))
+              + 3.0 * np.outer(rng.standard_normal(n), np.abs(rng.standard_normal(p)))
+              + 0.5 * rng.standard_normal((n, p)))
+    if name == "identity-holdout":
+        data = ObservedMatrix(latent, rng.random((n, p)) > 0.2)
+    else:
+        data = ObservedMatrix(np.maximum(latent, 0.0), np.ones((n, p), bool),
+                              Transform.NONNEG_TRUNCATION)
+    hp = HyperParams(
+        a_sigma=1.0, b_sigma=0.5, a_eta=2.0, b_eta=1.0, shrink=ShrinkageParams(3.0, 0.0),
+        zeta_n=0.25, zeta_p=0.25, max_factors=4, tol=1e-8, max_inner_iters=60,
+        n_restarts=2, seed=7,
+    )
+    return data, side, hp
+
+
+def record():
+    """Writes the golden file from the current code."""
+    golden = {}
+    for name in CASES:
+        result = fit(*build_case(name))
+        golden[name] = {"rank": result.rank, "logpost_trace": result.logpost_trace.tolist()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fit_matches_golden_trace(name):
+    expected = json.loads(GOLDEN.read_text())[name]
+    result = fit(*build_case(name))
+    assert result.rank == expected["rank"]
+    np.testing.assert_allclose(result.logpost_trace, expected["logpost_trace"],
+                               rtol=1e-12, atol=0.0)

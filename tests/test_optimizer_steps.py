@@ -9,8 +9,17 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from conftest import make_hp, make_side, random_state
-from xfile.model import ObservedMatrix, SideInfo, cell_marginal_loglik
+from xfile import optimizer
+from xfile.latent import initial_latent
+from xfile.model import (
+    ObservedMatrix,
+    SideInfo,
+    Transform,
+    cell_marginal_loglik,
+    log_prior_contribution,
+)
 from xfile.optimizer import (
+    GRADIENT_MAX_HALVINGS,
     InnerState,
     exact_row_loss,
     inner_logpost,
@@ -213,6 +222,87 @@ class TestCoefficientSteps:
         step_gamma(state)
         j2 = inner_logpost(state)
         assert j2 >= j1 - 1e-10
+
+
+class TestSafeguardFallback:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("step", [step_beta, step_gamma])
+    def test_failed_safeguard_restores_without_reevaluating(self, monkeypatch, step, seed):
+        rng = np.random.default_rng(800 + seed)
+        state = random_state(rng, n=7, p=6, q_x=3, q_w=3, sparse_frac=0.0)
+        state.beta[0] = state.gamma[0] = 3.0  # live links: the step does not exit early
+        state.refresh_links()
+        j_before = inner_logpost(state)
+        before = {k: getattr(state, k).copy() for k in ("beta", "gamma", "fx", "gw")}
+        calls = []
+
+        def reject_every_trial(s):
+            # the first evaluation is the objective before the step; the
+            # Newton point and every gradient halving then score -inf
+            calls.append(None)
+            return inner_logpost(s) if len(calls) == 1 else -np.inf
+
+        monkeypatch.setattr(optimizer, "inner_logpost", reject_every_trial)
+        step(state)
+        # 1 before the step + 1 Newton point + every halving; none to restore
+        assert len(calls) == 1 + 1 + (GRADIENT_MAX_HALVINGS + 1)
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(state, name), value)
+        assert state.logpost == j_before
+        assert inner_logpost(state) == j_before
+
+
+def _validated_objective(state):
+    """The candidate objective through the validated public functions."""
+    hp = state.hp
+    resid = (state.ztilde - state.cells())[state.mask]
+    return (float(np.sum(cell_marginal_loglik(resid, hp.a_sigma, hp.b_sigma)))
+            + log_prior_contribution(state.candidate(1), state.side, hp, state.h))
+
+
+class TestExactObjective:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_equals_validated_objective_after_every_step(self, seed):
+        # the seeds cycle through h, shrinkage delta, link offset and mask
+        h = (1, 3, 7)[seed % 3]
+        delta = (0.0, 0.2)[seed // 3 % 2]
+        eps = (0.0, 0.3)[seed // 6 % 2]
+        rng = np.random.default_rng(700 + seed)
+        hp = make_hp(shrink=ShrinkageParams(3.0, delta), eps_frelu=eps)
+        state = random_state(rng, n=9, p=7, q_x=3, q_w=2, hp=hp, h=h,
+                             full_mask=seed // 12 % 2 == 1)
+        assert inner_logpost(state) == _validated_objective(state)
+        for step in (step_u, step_psi, step_beta, step_v, step_phi, step_gamma, step_eta):
+            step(state)
+            assert inner_logpost(state) == _validated_objective(state)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_latent_refresh_renews_cached_off_state_loss(self, seed):
+        rng = np.random.default_rng(760 + seed)
+        n, p = 10, 8
+        values = np.maximum(rng.standard_normal((n, p)) + 0.3, 0.0)
+        data = ObservedMatrix(values, np.ones((n, p), bool), Transform.NONNEG_TRUNCATION)
+        fitted_prev = 0.5 * np.outer(rng.standard_normal(n), rng.standard_normal(p))
+        state = random_state(rng, n=n, p=p, hp=make_hp(max_inner_iters=5), h=2,
+                             full_mask=True)
+        state.ztilde = initial_latent(data) - fitted_prev
+        start = state.ztilde
+        run_inner(state, data=data, fitted_prev=fitted_prev)
+        assert not np.array_equal(state.ztilde, start)
+        assert inner_logpost(state) == _validated_objective(state)
+        # a state built afresh from the same arrays takes the same flag and
+        # loading decisions, which read the off-state loss
+        fresh = InnerState(
+            ztilde=state.ztilde.copy(), mask=state.mask, side=state.side, hp=state.hp,
+            h=state.h, u=state.u.copy(), psi=state.psi.copy(), beta=state.beta.copy(),
+            v=state.v.copy(), phi=state.phi.copy(), gamma=state.gamma.copy(), eta=state.eta,
+        )
+        np.testing.assert_array_equal(state.off_loss, fresh.off_loss)
+        for step in (step_psi, step_u, step_phi, step_v):
+            step(state)
+            step(fresh)
+        for name in ("u", "psi", "v", "phi"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(fresh, name))
 
 
 class TestStepV:
