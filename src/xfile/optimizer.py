@@ -35,11 +35,22 @@ recomputed only when ``ztilde`` is replaced, i.e. at the latent refresh of
 truncated data.  The coefficient safeguard evaluates the objective once
 before its step and once per trial point; restoring the coefficients reuses
 the value from before the step.
+
+None of steps 1-7 allocates an n x p array, nor does the objective.  Each
+state owns a workspace, allocated once when it is built: four n x p float
+buffers and one n x p bool buffer that every loading, flag and coefficient
+step overwrites with its temporaries, plus one n x p float buffer of its
+own for the objective (the coefficient safeguard evaluates the objective
+while its own buffers still hold the tangent residual for the gradient
+fallback).  The column steps see transposed views of the same (n, p)
+buffers, so every per-row sum adds in the order it would over a fresh
+temporary and the results are the same bit for bit.
+:meth:`InnerState.cells` still returns a fresh array.
 """
 
 from dataclasses import dataclass
 from math import log, sqrt
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +62,6 @@ from .model import (
     ObservedMatrix,
     SideInfo,
     Transform,
-    _cell_loss,
     _log_prior,
     beta_prior_mean,
     cell_marginal_loglik,
@@ -86,9 +96,10 @@ GRADIENT_STEP_INIT = 0.1
 GRADIENT_MAX_HALVINGS = 20
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The outer product of two vectors (the products of ``np.outer``)."""
-    return a[:, None] * b[None, :]
+def _scaled_outer(scale: float, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """scale * outer(a, b), written into ``out`` when one is given."""
+    out = np.multiply(a[:, None], b[None, :], out=out)
+    return np.multiply(scale, out, out=out)
 
 
 class InnerState:
@@ -107,11 +118,22 @@ class InnerState:
     (over -(a_sigma + 1/2)) of the residual with the candidate switched
     off, is recomputed whenever ``ztilde`` is assigned (in-place updates
     must be assigned back); in a fit that is the latent refresh of
-    :func:`run_inner`.
+    :func:`run_inner`.  ``mask`` is fixed too, and so is ``unobserved``, its
+    complement.
+
+    The state owns the workspace of its steps, allocated here: ``_work``
+    holds four n x p float buffers and one n x p bool buffer, which every
+    loading, flag and coefficient step overwrites, and ``_work_t`` their
+    transposed views, which the column steps use.  :func:`inner_logpost`
+    writes the residual into its own n x p buffer ``_resid`` and, when some
+    cells are unobserved, gathers the observed ones into ``_observed``
+    (their flat indices and a buffer of that length).  ``logpost`` is set by
+    :func:`run_inner` and by the coefficient steps.
     """
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
         self.mask = np.asarray(mask, dtype=bool)
+        self.unobserved = ~self.mask
         self.side = side
         self.hp = hp
         self.h = h
@@ -129,7 +151,15 @@ class InnerState:
         self.gamma = np.asarray(gamma, dtype=float)
         self.eta = float(eta)
         self.refresh_links()
-        self.logpost = inner_logpost(self)
+        n, p = self.mask.shape
+        self._work = (*(np.empty((n, p)) for _ in range(4)), np.empty((n, p), dtype=bool))
+        self._work_t = tuple(buf.T for buf in self._work)
+        self._resid = np.empty((n, p))
+        if self.mask.all():
+            self._observed = None
+        else:
+            index = np.flatnonzero(self.mask)
+            self._observed = (index, np.empty(index.size))
 
     @property
     def ztilde(self) -> np.ndarray:
@@ -144,8 +174,10 @@ class InnerState:
         self.fx = frelu(self.side.x @ self.beta, self.hp.eps_frelu)
         self.gw = frelu(self.side.w @ self.gamma, self.hp.eps_frelu)
 
-    def cells(self):
-        return self.eta * _outer(self.fx * self.psi * self.u, self.gw * self.phi * self.v)
+    def cells(self, out=None):
+        """The candidate's n x p cells, into ``out`` or else a fresh array."""
+        return _scaled_outer(self.eta, self.fx * self.psi * self.u,
+                             self.gw * self.phi * self.v, out)
 
     def candidate(self, rho: int = 1) -> FactorContribution:
         return FactorContribution(
@@ -163,8 +195,19 @@ def inner_logpost(state: InnerState) -> float:
     residual plus ``log_prior_contribution(state.candidate(1), ...)``, but
     read from the state's arrays and cached constants.
     """
-    resid = (state.ztilde - state.cells())[state.mask]
-    lik = float(np.sum(_cell_loss(resid, state.neg_a_half, state.two_b)))
+    resid = state.cells(out=state._resid)
+    np.subtract(state.ztilde, resid, out=resid)
+    if state._observed is None:
+        resid = resid.ravel()  # all cells, in the order of resid[mask]
+    else:
+        index, observed = state._observed
+        resid = np.take(resid, index, mode="clip", out=observed)
+    # model._cell_loss, in place: neg_a_half * log1p(r * r / two_b)
+    np.multiply(resid, resid, out=resid)
+    np.divide(resid, state.two_b, out=resid)
+    np.log1p(resid, out=resid)
+    np.multiply(state.neg_a_half, resid, out=resid)
+    lik = float(np.sum(resid))
     prior = _log_prior(state.u, state.psi, state.beta, state.v, state.phi, state.gamma,
                        state.eta, state.mu_b, state.mu_g, state.hp)
     return lik + (prior + state.log_q)  # grouped as log_prior_contribution adds them
@@ -175,7 +218,7 @@ class _Side(NamedTuple):
 
     ztilde: np.ndarray
     off_loss: np.ndarray   # the state's off_loss in this orientation
-    mask: np.ndarray
+    unobserved: np.ndarray
     design: np.ndarray
     mu: np.ndarray         # prior mean of the coefficients
     zeta: float
@@ -186,7 +229,7 @@ class _Side(NamedTuple):
     coef: np.ndarray
     other_link: np.ndarray
     other_eff: np.ndarray  # the other side's flags * loading
-    outer: Callable        # outer(vector over this side, vector over the other)
+    work: tuple            # the state's workspace in this orientation
     names: tuple           # state attributes of loading, flags, coefficients
 
     def store(self, state: InnerState, loading, flags) -> None:
@@ -195,29 +238,60 @@ class _Side(NamedTuple):
 
 
 def _rows(state: InnerState) -> _Side:
-    return _Side(state.ztilde, state.off_loss, state.mask, state.side.x, state.mu_b,
+    return _Side(state.ztilde, state.off_loss, state.unobserved, state.side.x, state.mu_b,
                  state.hp.zeta_n, 1.0, state.fx, state.u, state.psi, state.beta,
-                 state.gw, state.phi * state.v, _outer, ("u", "psi", "beta"))
-
-
-def _outer_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _outer(b, a).T
+                 state.gw, state.phi * state.v, state._work, ("u", "psi", "beta"))
 
 
 def _columns(state: InnerState) -> _Side:
-    # The outer product is a transposed view of the (n, p) one, so every
-    # (p, n) temporary keeps ztilde's layout and its row sums add in the
-    # order of an axis-0 sum (a fresh (p, n) array would sum pairwise).
-    return _Side(state.ztilde.T, state.off_loss.T, state.mask.T, state.side.w, state.mu_g,
-                 state.hp.zeta_p, state.eta, state.gw, state.v, state.phi, state.gamma,
-                 state.fx, state.psi * state.u, _outer_t, ("v", "phi", "gamma"))
+    # The workspace is seen through transposed views of the (n, p) buffers,
+    # so every (p, n) temporary keeps ztilde's layout and its row sums add
+    # in the order of an axis-0 sum (a C-ordered (p, n) buffer would sum
+    # pairwise).
+    return _Side(state.ztilde.T, state.off_loss.T, state.unobserved.T, state.side.w,
+                 state.mu_g, state.hp.zeta_p, state.eta, state.gw, state.v, state.phi,
+                 state.gamma, state.fx, state.psi * state.u, state._work_t,
+                 ("v", "phi", "gamma"))
+
+
+def _masked_ratio(num: np.ndarray, denom: np.ndarray, invalid: np.ndarray) -> np.ndarray:
+    """num / denom in place, zero on the invalid cells."""
+    np.divide(num, denom, out=num)
+    num[invalid] = 0.0
+    return num
+
+
+def _uninformative(s: _Side, A: np.ndarray, invalid: np.ndarray) -> np.ndarray:
+    """Marks in ``invalid`` the cells that carry no information: A = 0 or unobserved."""
+    np.equal(A, 0.0, out=invalid)
+    return np.logical_or(invalid, s.unobserved, out=invalid)
+
+
+def _surrogate_sums(s: _Side, state: InnerState, A, at, invalid, r_tan, denom, tmp):
+    """Per-row sums of A^2 / D and A ztilde / D over the valid cells, with
+    the surrogate denominator D = 2b + r_tan^2 at the tangent residual
+    r_tan = ztilde - A * at (one tangent value per row).
+
+    Leaves r_tan and D in their buffers (which may be one buffer, and then
+    holds D) and overwrites ``tmp``.
+    """
+    np.multiply(A, at[:, None], out=r_tan)
+    np.subtract(s.ztilde, r_tan, out=r_tan)
+    np.add(state.two_b, np.square(r_tan, out=denom), out=denom)
+    w = _masked_ratio(np.multiply(A, A, out=tmp), denom, invalid).sum(axis=1)
+    wz = _masked_ratio(np.multiply(A, s.ztilde, out=tmp), denom, invalid).sum(axis=1)
+    return w, wz
 
 
 def _masked_loglik_delta(s: _Side, state: InnerState, cells_on: np.ndarray) -> np.ndarray:
     """Per-row sums of the loss gain of switching each row's block on:
-    loss(ztilde) - loss(ztilde - cells_on)."""
-    r_on = s.ztilde - cells_on
-    gain = np.where(s.mask, s.off_loss - np.log1p(r_on**2 / state.two_b), 0.0)
+    loss(ztilde) - loss(ztilde - cells_on).  Overwrites ``cells_on``."""
+    gain = np.subtract(s.ztilde, cells_on, out=cells_on)
+    np.square(gain, out=gain)
+    np.divide(gain, state.two_b, out=gain)
+    np.log1p(gain, out=gain)
+    np.subtract(s.off_loss, gain, out=gain)
+    gain[s.unobserved] = 0.0
     return (state.hp.a_sigma + 0.5) * gain.sum(axis=1)
 
 
@@ -244,21 +318,19 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
     hp = state.hp
     if not np.any(s.other_eff != 0):
         return state
-    A = (state.eta / s.c) * s.outer(s.link, s.other_link * s.other_eff)
-    valid = s.mask & (A != 0.0)
+    A, denom, tmp, _, invalid = s.work
+    _scaled_outer(state.eta / s.c, s.link, s.other_link * s.other_eff, A)
+    _uninformative(s, A, invalid)
     scaled = s.loading * s.c
-    r_tan = s.ztilde - A * scaled[:, None]
-    denom = state.two_b + r_tan**2
-    w = np.where(valid, A * A / denom, 0.0)
-    wz = np.where(valid, A * s.ztilde / denom, 0.0)
+    w, wz = _surrogate_sums(s, state, A, scaled, invalid, denom, denom, tmp)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5) * s.c**2)
-    prop = wz.sum(axis=1) / (w.sum(axis=1) + ridge)
+    prop = wz / (w + ridge)
 
     inactive = s.flags != 1.0
     new = np.where(inactive, scaled, prop)
     flags = s.flags
     if inactive.any():
-        d_lik = _masked_loglik_delta(s, state, A * prop[:, None])
+        d_lik = _masked_loglik_delta(s, state, np.multiply(A, prop[:, None], out=tmp))
         d_post = (
             log(s.zeta / (1.0 - s.zeta))
             + d_lik
@@ -279,7 +351,8 @@ def _update_flags(state: InnerState, s: _Side) -> InnerState:
     the sparser state.  Loadings of rows flagged off are reset to the prior
     mode zero, which can only raise the objective.
     """
-    cells_on = state.eta * s.outer(s.link * s.loading, s.other_link * s.other_eff)
+    cells_on = _scaled_outer(state.eta, s.link * s.loading, s.other_link * s.other_eff,
+                             s.work[0])
     d_lik = _masked_loglik_delta(s, state, cells_on)
     on = (log(s.zeta / (1.0 - s.zeta)) + d_lik) > 0.0
     s.store(state, np.where(on, s.loading, 0.0), on.astype(float))
@@ -300,18 +373,14 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     the links, and the objective is then the value from before the step.
     """
     hp = state.hp
-    on_axis = ((s.design @ s.coef) > 0.0)[:, None]
+    on_axis = (s.design @ s.coef) > 0.0
     if not on_axis.any() or not np.any(s.other_eff != 0):
         return state
-    A = state.eta * s.outer(s.flags * s.loading, s.other_link * s.other_eff)
-
-    valid = s.mask & on_axis & (A != 0.0)
-    r_tan = s.ztilde - A * s.link[:, None]
-    denom = state.two_b + r_tan**2
-    wmat = np.where(valid, A * A / denom, 0.0)
-    tmat = np.where(valid, A * s.ztilde / denom, 0.0)
+    A, r_tan, denom, tmp, invalid = s.work
+    _scaled_outer(state.eta, s.flags * s.loading, s.other_link * s.other_eff, A)
+    np.logical_or(_uninformative(s, A, invalid), ~on_axis[:, None], out=invalid)
+    wvec, tvec = _surrogate_sums(s, state, A, s.link, invalid, r_tan, denom, tmp)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
-    wvec, tvec = wmat.sum(axis=1), tmat.sum(axis=1)
     M = (s.design * wvec[:, None]).T @ s.design + ridge * np.eye(s.design.shape[1])
     rhs = s.design.T @ tvec + ridge * s.mu
     newton = np.linalg.solve(M, rhs)
@@ -327,7 +396,8 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     if not j >= j_before:
         # Newton point rejected: short gradient moves along the subgradient
         # (zero wherever the link is flat), from the tangent point.
-        gmat = np.where(valid, 2.0 * r_tan * A / denom, 0.0)
+        gmat = np.multiply(2.0, r_tan, out=tmp)
+        _masked_ratio(np.multiply(gmat, A, out=gmat), denom, invalid)
         grad = (hp.a_sigma + 0.5) * (s.design.T @ gmat.sum(axis=1)) - (s.coef - s.mu)
         step = GRADIENT_STEP_INIT
         for _ in range(GRADIENT_MAX_HALVINGS + 1):
@@ -528,6 +598,7 @@ def fit_contribution(
                 trace=trace,
                 z_tilde=state.ztilde,
             )
+        del state  # frees its workspace before the next restart builds one
     return best
 
 

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from xfile.model import FactorContribution, HyperParams, ObservedMatrix, SideInfo
+from xfile.model import (
+    FactorContribution,
+    HyperParams,
+    ObservedMatrix,
+    SideInfo,
+    cell_marginal_loglik,
+    log_prior_contribution,
+)
 from xfile.optimizer import InnerState
 from xfile.shrinkage import ShrinkageParams
 from xfile.simulate import _covariate_block
@@ -68,6 +75,15 @@ def random_state(rng, n=8, p=7, q_x=2, q_w=2, hp=None, sparse_frac=0.5, h=1,
         gamma=rng.standard_normal(q_w) * 0.7 + np.eye(q_w)[0],
         eta=float(rng.gamma(2.0, 0.6) + 0.2),
     )
+
+
+def validated_objective(state):
+    """The candidate objective of ``state`` through fresh arrays and the
+    validated public functions (the reference for ``inner_logpost``)."""
+    hp = state.hp
+    resid = (state.ztilde - state.cells())[state.mask]
+    return (float(np.sum(cell_marginal_loglik(resid, hp.a_sigma, hp.b_sigma)))
+            + log_prior_contribution(state.candidate(1), state.side, hp, state.h))
 
 
 def strong_multiplicative_instance(seed, n=50, p=50, q_x=5, q_w=5, noise=0.1,

@@ -1,8 +1,10 @@
-"""Golden traces: two small seeded fits must keep their rank and objective trace.
+"""Golden traces: three small seeded fits must keep their rank and objective trace.
 
 The expected values in ``data/golden_traces.json`` were recorded from the
-code before the objective was read from the state's cached arrays; a
-speed-up that changes any number of these fits fails here.  The cases are
+code before the objective was read from the state's cached arrays, and
+the full-mask case (which takes the objective's path for a mask with every
+cell observed) from the code before the steps wrote into the state's
+workspace; a speed-up that changes any number of these fits fails here.  The cases are
 built by :func:`build_case` alone, so the file can be recorded again with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
@@ -22,13 +24,15 @@ from xfile.optimizer import fit
 from xfile.shrinkage import ShrinkageParams
 
 GOLDEN = Path(__file__).parent / "data" / "golden_traces.json"
-CASES = ("identity-holdout", "truncated")
+CASES = ("identity-holdout", "truncated", "identity-full")
+SEEDS = {"identity-holdout": 2024, "truncated": 2025, "identity-full": 2026}
 
 
 def build_case(name):
-    """Seeded 30 x 25 data, side information and hyperparameters of one case."""
-    n, p = 30, 25
-    rng = np.random.default_rng(2024 if name == "identity-holdout" else 2025)
+    """Seeded data (30 x 25, or 60 x 45 fully observed), side information and
+    hyperparameters of one case."""
+    n, p = (60, 45) if name == "identity-full" else (30, 25)
+    rng = np.random.default_rng(SEEDS[name])
     side = SideInfo(
         x=np.column_stack([np.ones(n), rng.standard_normal((n, 2))]),
         w=np.column_stack([np.ones(p), rng.standard_normal((p, 2))]),
@@ -38,12 +42,15 @@ def build_case(name):
               + 0.5 * rng.standard_normal((n, p)))
     if name == "identity-holdout":
         data = ObservedMatrix(latent, rng.random((n, p)) > 0.2)
+    elif name == "identity-full":
+        data = ObservedMatrix(latent, np.ones((n, p), bool))
     else:
         data = ObservedMatrix(np.maximum(latent, 0.0), np.ones((n, p), bool),
                               Transform.NONNEG_TRUNCATION)
     hp = HyperParams(
         a_sigma=1.0, b_sigma=0.5, a_eta=2.0, b_eta=1.0, shrink=ShrinkageParams(3.0, 0.0),
-        zeta_n=0.25, zeta_p=0.25, max_factors=4, tol=1e-8, max_inner_iters=60,
+        zeta_n=0.25, zeta_p=0.25, max_factors=3 if name == "identity-full" else 4,
+        tol=1e-8, max_inner_iters=60,
         n_restarts=2, seed=7,
     )
     return data, side, hp

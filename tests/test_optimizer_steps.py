@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_hp, make_side, random_state
+from conftest import make_hp, make_side, random_state, validated_objective
 from xfile import optimizer
 from xfile.latent import initial_latent
 from xfile.model import (
@@ -16,7 +16,6 @@ from xfile.model import (
     SideInfo,
     Transform,
     cell_marginal_loglik,
-    log_prior_contribution,
 )
 from xfile.optimizer import (
     GRADIENT_MAX_HALVINGS,
@@ -252,14 +251,6 @@ class TestSafeguardFallback:
         assert inner_logpost(state) == j_before
 
 
-def _validated_objective(state):
-    """The candidate objective through the validated public functions."""
-    hp = state.hp
-    resid = (state.ztilde - state.cells())[state.mask]
-    return (float(np.sum(cell_marginal_loglik(resid, hp.a_sigma, hp.b_sigma)))
-            + log_prior_contribution(state.candidate(1), state.side, hp, state.h))
-
-
 class TestExactObjective:
     @pytest.mark.parametrize("seed", range(60))
     def test_equals_validated_objective_after_every_step(self, seed):
@@ -271,10 +262,10 @@ class TestExactObjective:
         hp = make_hp(shrink=ShrinkageParams(3.0, delta), eps_frelu=eps)
         state = random_state(rng, n=9, p=7, q_x=3, q_w=2, hp=hp, h=h,
                              full_mask=seed // 12 % 2 == 1)
-        assert inner_logpost(state) == _validated_objective(state)
+        assert inner_logpost(state) == validated_objective(state)
         for step in (step_u, step_psi, step_beta, step_v, step_phi, step_gamma, step_eta):
             step(state)
-            assert inner_logpost(state) == _validated_objective(state)
+            assert inner_logpost(state) == validated_objective(state)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_latent_refresh_renews_cached_off_state_loss(self, seed):
@@ -289,7 +280,7 @@ class TestExactObjective:
         start = state.ztilde
         run_inner(state, data=data, fitted_prev=fitted_prev)
         assert not np.array_equal(state.ztilde, start)
-        assert inner_logpost(state) == _validated_objective(state)
+        assert inner_logpost(state) == validated_objective(state)
         # a state built afresh from the same arrays takes the same flag and
         # loading decisions, which read the off-state loss
         fresh = InnerState(

@@ -1,0 +1,174 @@
+"""The steps and the objective work in the state's own buffers.
+
+Every coordinate step and :func:`inner_logpost` writes its n x p
+temporaries into the workspace its :class:`InnerState` allocated when it was
+built.  These tests check that no step allocates an n x p array, that two
+states never share a buffer, and that the objective never overwrites a
+buffer the coefficient safeguard still needs for its gradient fallback.
+"""
+
+import copy
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import make_hp, make_side, random_state, validated_objective
+from xfile.optimizer import (
+    GRADIENT_MAX_HALVINGS,
+    GRADIENT_STEP_INIT,
+    fit_contribution,
+    inner_logpost,
+    step_beta,
+    step_eta,
+    step_gamma,
+    step_phi,
+    step_psi,
+    step_u,
+    step_v,
+)
+
+STEPS = (("u", step_u), ("psi", step_psi), ("beta", step_beta), ("v", step_v),
+         ("phi", step_phi), ("gamma", step_gamma), ("eta", step_eta))
+ARRAYS = ("u", "psi", "beta", "v", "phi", "gamma", "fx", "gw")
+
+
+@pytest.mark.parametrize("full_mask", [True, False])
+def test_no_step_allocates_a_cell_array(full_mask):
+    # Numpy reports its data buffers to tracemalloc, so the traced peak of a
+    # call bounds the largest temporary it built.
+    state = random_state(np.random.default_rng(7), n=200, p=150, q_x=3, q_w=3,
+                         full_mask=full_mask)
+    one_array = state.mask.size * 8
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, fn in (*STEPS, ("inner_logpost", inner_logpost)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn(state)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / one_array
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 1.0, peaks
+
+
+def test_restarts_never_hold_two_workspaces():
+    n, p = 200, 150
+    rng = np.random.default_rng(3)
+    side = make_side(n, p, 3, 3, rng)
+    residual = rng.standard_normal((n, p))
+
+    def peak(restarts):
+        hp = make_hp(n_restarts=restarts, max_inner_iters=2)
+        tracemalloc.start()
+        try:
+            fit_contribution(residual, side, hp, 1, np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1] / (n * p * 8)
+        finally:
+            tracemalloc.stop()
+
+    # Later restarts add the winner's kept ztilde (one array); a previous
+    # restart's state still alive would add its whole workspace (six).
+    assert peak(3) - peak(1) < 2.0
+
+
+def _stepped(states, iterations=3):
+    """Runs the seven steps on every state, one step at a time across states."""
+    for _ in range(iterations):
+        for _, fn in STEPS:
+            for state in states:
+                fn(state)
+    return states
+
+
+@pytest.mark.parametrize("full_mask", [True, False])
+def test_interleaved_states_match_separate_runs(full_mask):
+    def build(seed):
+        return random_state(np.random.default_rng(seed), n=20, p=15, q_x=3, q_w=3,
+                            full_mask=full_mask)
+
+    alone = [_stepped([build(seed)])[0] for seed in (21, 22)]
+    together = _stepped([build(21), build(22)])
+    for a, b in zip(alone, together):
+        for name in ARRAYS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.eta == b.eta
+        assert inner_logpost(a) == inner_logpost(b) == _reference_objective(b, "beta", b.beta)
+
+
+def _reference_objective(state, name, coef):
+    """The validated objective with coefficients ``name`` set to ``coef``."""
+    trial = copy.copy(state)
+    setattr(trial, name, coef)
+    trial.refresh_links()
+    return validated_objective(trial)
+
+
+def _reference_coef_step(state, name):
+    """The safeguarded coefficient update written with allocating formulas.
+
+    Returns the accepted coefficients, the objective there, and whether the
+    Newton point was rejected.  For the columns every (p, n) array is a
+    transposed view of an (n, p) one, so its row sums add in the order the
+    step uses.
+    """
+    hp = state.hp
+    if name == "beta":
+        z, mask, X, mu = state.ztilde, state.mask, state.side.x, state.mu_b
+        A = state.eta * np.outer(state.psi * state.u, state.gw * state.phi * state.v)
+        link = state.fx
+    else:
+        z, mask, X, mu = state.ztilde.T, state.mask.T, state.side.w, state.mu_g
+        A = (state.eta * np.outer(state.fx * state.psi * state.u, state.phi * state.v)).T
+        link = state.gw
+    coef = getattr(state, name)
+    on_axis = ((X @ coef) > 0.0)[:, None]
+    valid = mask & on_axis & (A != 0.0)
+    r_tan = z - A * link[:, None]
+    denom = 2.0 * hp.b_sigma + r_tan**2
+    wmat = np.where(valid, A * A / denom, 0.0)
+    tmat = np.where(valid, A * z / denom, 0.0)
+    ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
+    M = (X * wmat.sum(axis=1)[:, None]).T @ X + ridge * np.eye(X.shape[1])
+    newton = np.linalg.solve(M, X.T @ tmat.sum(axis=1) + ridge * mu)
+
+    j_before = _reference_objective(state, name, coef)
+    j = _reference_objective(state, name, newton)
+    if j >= j_before:
+        return newton, j, False
+    gmat = np.where(valid, 2.0 * r_tan * A / denom, 0.0)
+    grad = (hp.a_sigma + 0.5) * (X.T @ gmat.sum(axis=1)) - (coef - mu)
+    step = GRADIENT_STEP_INIT
+    for _ in range(GRADIENT_MAX_HALVINGS + 1):
+        trial = coef + step * grad
+        j = _reference_objective(state, name, trial)
+        if j >= j_before:
+            return trial, j, True
+        step *= 0.5
+    return coef, j_before, True
+
+
+@pytest.mark.parametrize("name, step, seed", [
+    ("beta", step_beta, 13), ("beta", step_beta, 18),
+    ("gamma", step_gamma, 114), ("gamma", step_gamma, 124),
+])
+def test_gradient_fallback_reads_intact_buffers(name, step, seed):
+    # No monkeypatch: on these states the exact objective itself rejects the
+    # Newton point, so the step evaluates the objective while its tangent
+    # residual, denominators and validity mask are still needed.
+    state = random_state(np.random.default_rng(seed), n=9, p=8, q_x=3, q_w=3)
+    expected, j, fell_back = _reference_coef_step(state, name)
+    assert fell_back
+    step(state)
+    np.testing.assert_array_equal(getattr(state, name), expected)
+    assert state.logpost == j
+    assert inner_logpost(state) == j
+
+
+def test_cells_is_not_overwritten_by_the_objective():
+    state = random_state(np.random.default_rng(5))
+    cells = state.cells()
+    kept = cells.copy()
+    inner_logpost(state)
+    np.testing.assert_array_equal(cells, kept)
