@@ -17,9 +17,7 @@ from .model import (
     Transform,
     cell_marginal_loglik,
     frelu,
-    kernel_similarity,
     loading_matrix,
-    log_posterior,
     log_prior_contribution,
     materialize,
     similarity_matrix,
@@ -27,11 +25,9 @@ from .model import (
 from .optimizer import fit, fit_contribution, predict_matrix, stopping_decision
 from .shrinkage import (
     ShrinkageParams,
-    StickBreakingState,
     default_truncation,
     expected_rank,
     prob_active,
-    sample_sticks,
     simulate_rank_pmf,
 )
 from .simulate import ScenarioSpec, fit_baseline, generate, rmse, run_experiment
@@ -46,7 +42,6 @@ __all__ = [
     "ScenarioSpec",
     "ShrinkageParams",
     "SideInfo",
-    "StickBreakingState",
     "Transform",
     "apply_transform",
     "cell_marginal_loglik",
@@ -58,16 +53,13 @@ __all__ = [
     "frelu",
     "generate",
     "initial_latent",
-    "kernel_similarity",
     "loading_matrix",
-    "log_posterior",
     "log_prior_contribution",
     "materialize",
     "predict_matrix",
     "prob_active",
     "rmse",
     "run_experiment",
-    "sample_sticks",
     "similarity_matrix",
     "simulate_rank_pmf",
     "stopping_decision",

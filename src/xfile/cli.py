@@ -12,7 +12,7 @@ replicate, so identical seeds reproduce outputs bit for bit.
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from .io import (
     load_matrix,
     load_model,
     load_side_info,
-    save_matrix,
     save_model,
     write_fit_outputs,
 )
@@ -36,7 +35,7 @@ from .shrinkage import (
 )
 from .simulate import ScenarioSpec, run_experiment, run_grid_search
 
-__all__ = ["main", "build_parser", "hyperparams_from_dict"]
+__all__ = ["main", "build_parser"]
 
 
 def _write_config(out_dir: Path, payload: dict) -> None:
@@ -47,7 +46,10 @@ def _write_config(out_dir: Path, payload: dict) -> None:
 def _load_json(path):
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _cmd_prior(args) -> int:
@@ -101,6 +103,8 @@ def _cmd_predict(args) -> int:
     result, side, transform, eps = load_model(args.model)
     pred = predict_matrix(result, side, eps, transform)
     request = load_matrix(args.mask)
+    if request.shape != pred.shape:
+        raise ValueError(f"mask shape {request.shape} does not match model shape {pred.shape}")
     wanted = request.mask & (request.values != 0)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
@@ -116,7 +120,11 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = ScenarioSpec(**_load_json(args.scenario))
+    raw = _load_json(args.scenario)
+    unknown = set(raw) - {f.name for f in fields(ScenarioSpec)}
+    if unknown:
+        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+    spec = ScenarioSpec(**raw)
     hp = hyperparams_from_dict(_load_json(args.config))
     tuning = None
     if args.grid is not None:

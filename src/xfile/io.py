@@ -39,6 +39,9 @@ __all__ = [
 
 MODEL_FORMAT = "xfile-model/1"
 FLOAT_FMT = "%.17g"
+# The vector parameters of a contribution, in the order of the model files
+# and of the columns of contributions.csv.
+FAMILIES = ("u_tilde", "psi_tilde", "beta", "v_tilde", "phi_tilde", "gamma")
 
 
 class MatrixParseError(ValueError):
@@ -127,6 +130,12 @@ def _write_array(path, arr: np.ndarray) -> None:
     np.savetxt(path, np.atleast_2d(arr), delimiter=",", fmt=FLOAT_FMT)
 
 
+def _family_sizes(side: SideInfo) -> tuple:
+    """Length of each family's vector, in :data:`FAMILIES` order."""
+    n, p = side.x.shape[0], side.w.shape[0]
+    return (n, n, side.q_x, p, p, side.q_w)
+
+
 def save_model(out_dir, result: FitResult, side: SideInfo, transform: Transform,
                eps_frelu: float) -> None:
     """One CSV per parameter family plus manifest.json (format xfile-model/1)."""
@@ -145,13 +154,11 @@ def save_model(out_dir, result: FitResult, side: SideInfo, transform: Transform,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     cs = result.contributions
-    _write_array(out / "u_tilde.csv", np.column_stack([c.u_tilde for c in cs]) if k else np.empty((side.x.shape[0], 0)))
-    _write_array(out / "psi_tilde.csv", np.column_stack([c.psi_tilde for c in cs]) if k else np.empty((side.x.shape[0], 0)))
-    _write_array(out / "beta.csv", np.column_stack([c.beta for c in cs]) if k else np.empty((side.q_x, 0)))
-    _write_array(out / "v_tilde.csv", np.column_stack([c.v_tilde for c in cs]) if k else np.empty((side.w.shape[0], 0)))
-    _write_array(out / "phi_tilde.csv", np.column_stack([c.phi_tilde for c in cs]) if k else np.empty((side.w.shape[0], 0)))
-    _write_array(out / "gamma.csv", np.column_stack([c.gamma for c in cs]) if k else np.empty((side.q_w, 0)))
-    _write_array(out / "theta.csv", np.array([[c.eta, c.rho] for c in cs]) if k else np.empty((0, 2)))
+    for name, size in zip(FAMILIES, _family_sizes(side)):
+        # size x k, column h from contribution h
+        columns = np.array([getattr(c, name) for c in cs]).reshape(k, size).T
+        _write_array(out / f"{name}.csv", columns)
+    _write_array(out / "theta.csv", np.array([[c.eta, c.rho] for c in cs]).reshape(k, 2))
     _write_array(out / "x.csv", side.x)
     _write_array(out / "w.csv", side.w)
     _write_array(out / "latent_residual.csv", result.latent_residual)
@@ -165,32 +172,20 @@ def load_model(model_dir) -> tuple[FitResult, SideInfo, Transform, float]:
         raise ValueError(f"unsupported model format {manifest.get('format')!r}")
     k = int(manifest["rank"])
 
-    def _read(name, rows):
-        path = model / name
-        if k == 0:
-            return np.empty((rows, 0))
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
-        return arr
+    def _read(name):
+        return np.loadtxt(model / name, delimiter=",", ndmin=2)
 
-    x = np.loadtxt(model / "x.csv", delimiter=",", ndmin=2)
-    w = np.loadtxt(model / "w.csv", delimiter=",", ndmin=2)
-    side = SideInfo(x=x, w=w)
-    u = _read("u_tilde.csv", x.shape[0])
-    psi = _read("psi_tilde.csv", x.shape[0])
-    beta = _read("beta.csv", side.q_x)
-    v = _read("v_tilde.csv", w.shape[0])
-    phi = _read("phi_tilde.csv", w.shape[0])
-    gamma = _read("gamma.csv", side.q_w)
-    theta = np.loadtxt(model / "theta.csv", delimiter=",", ndmin=2) if k else np.empty((0, 2))
-    contributions = tuple(
-        FactorContribution(
-            u_tilde=u[:, h], psi_tilde=psi[:, h], beta=beta[:, h],
-            v_tilde=v[:, h], phi_tilde=phi[:, h], gamma=gamma[:, h],
-            eta=float(theta[h, 0]), rho=int(theta[h, 1]),
+    side = SideInfo(x=_read("x.csv"), w=_read("w.csv"))
+    contributions = ()
+    if k:  # a rank-0 model has empty family files
+        columns = {name: _read(f"{name}.csv") for name in FAMILIES}
+        theta = _read("theta.csv")
+        contributions = tuple(
+            FactorContribution(**{name: a[:, h] for name, a in columns.items()},
+                               eta=float(theta[h, 0]), rho=int(theta[h, 1]))
+            for h in range(k)
         )
-        for h in range(k)
-    )
-    residual = np.loadtxt(model / "latent_residual.csv", delimiter=",", ndmin=2)
+    residual = _read("latent_residual.csv")
     result = FitResult(
         contributions=contributions,
         logpost_trace=np.empty(0),
@@ -210,22 +205,13 @@ def write_fit_outputs(out_dir, result: FitResult, side: SideInfo, transform: Tra
 
     with open(out / "contributions.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        n = side.x.shape[0]
-        p = side.w.shape[0]
-        header = (
-            ["eta", "rho"]
-            + [f"u_tilde_{i}" for i in range(n)]
-            + [f"psi_tilde_{i}" for i in range(n)]
-            + [f"beta_{d}" for d in range(side.q_x)]
-            + [f"v_tilde_{j}" for j in range(p)]
-            + [f"phi_tilde_{j}" for j in range(p)]
-            + [f"gamma_{d}" for d in range(side.q_w)]
-        )
-        writer.writerow(header)
+        writer.writerow(["eta", "rho"] + [
+            f"{name}_{i}" for name, size in zip(FAMILIES, _family_sizes(side)) for i in range(size)
+        ])
         for c in result.contributions:
             row = [FLOAT_FMT % c.eta, c.rho]
-            for arr in (c.u_tilde, c.psi_tilde, c.beta, c.v_tilde, c.phi_tilde, c.gamma):
-                row.extend(FLOAT_FMT % x for x in arr)
+            for name in FAMILIES:
+                row.extend(FLOAT_FMT % x for x in getattr(c, name))
             writer.writerow(row)
 
     with open(out / "logpost_trace.csv", "w", newline="") as fh:

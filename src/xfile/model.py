@@ -1,4 +1,4 @@
-"""Data model, link function, marginal Student-t loss, and log-posterior.
+"""Data model, link function, marginal Student-t loss, and log prior.
 
 The observed matrix Y is a cellwise transform of a latent Gaussian matrix Z
 whose mean is a sum of rank-one contributions
@@ -39,10 +39,8 @@ __all__ = [
     "frelu",
     "cell_marginal_loglik",
     "log_prior_contribution",
-    "log_posterior",
     "materialize",
     "loading_matrix",
-    "kernel_similarity",
     "similarity_matrix",
 ]
 
@@ -357,8 +355,8 @@ def _log_prior(u, psi, beta, v, phi, gamma, eta: float, mu_b, mu_g, hp: HyperPar
     )
 
 
-def prior_mode_contribution(side: SideInfo, hp: HyperParams, rho: int = 0) -> FactorContribution:
-    """Contribution maximizing the prior density (all cells zero).
+def prior_mode_contribution(side: SideInfo, hp: HyperParams) -> FactorContribution:
+    """Switched-off contribution (rho = 0) maximizing the prior density.
 
     Loadings and coefficient offsets sit at zero, flags at their Bernoulli
     mode.  The scale sits at the joint mode of (vstar, eta^2) with vstar = 0,
@@ -377,7 +375,7 @@ def prior_mode_contribution(side: SideInfo, hp: HyperParams, rho: int = 0) -> Fa
         phi_tilde=np.full(p, flags_p),
         gamma=beta_prior_mean(side.q_w, hp.eps_frelu),
         eta=float(np.sqrt(hp.b_eta / (hp.a_eta + 0.5 * p + 1.0))),
-        rho=rho,
+        rho=0,
     )
 
 
@@ -390,49 +388,6 @@ def materialize(contributions, side: SideInfo, eps: float = 0.0) -> np.ndarray:
     return total
 
 
-def _check_latent(data: ObservedMatrix, latent: np.ndarray, atol: float = 1e-9) -> None:
-    latent = np.asarray(latent, dtype=float)
-    if latent.shape != data.values.shape:
-        raise ValueError(f"latent shape {latent.shape} != data shape {data.values.shape}")
-    if data.transform == Transform.IDENTITY:
-        if not np.allclose(latent[data.mask], data.values[data.mask], rtol=0.0, atol=atol):
-            raise ValueError("latent matrix disagrees with observed values (identity transform)")
-        return
-    pos = data.mask & (data.values > 0)
-    zero = data.mask & (data.values == 0)
-    if not np.allclose(latent[pos], data.values[pos], rtol=0.0, atol=atol):
-        raise ValueError("latent matrix disagrees with positive observed values")
-    if np.any(latent[zero] > atol):
-        raise ValueError("latent values at observed zeros must be <= 0")
-
-
-def log_posterior(
-    data: ObservedMatrix,
-    side: SideInfo,
-    hp: HyperParams,
-    contributions,
-    latent: np.ndarray | None = None,
-) -> float:
-    """Masked Student-t data loss plus the log priors of all contributions.
-
-    ``latent`` is the latent Gaussian matrix; it must match the observed
-    values cellwise under the identity transform, and under the truncation
-    transform it must match positive observations and be <= 0 at observed
-    zeros.  Omitting it uses the observed values directly (identity only).
-    """
-    if latent is None:
-        if data.transform != Transform.IDENTITY:
-            raise ValueError("latent matrix is required under the truncation transform")
-        latent = data.values
-    _check_latent(data, latent)
-    fitted = materialize(contributions, side, hp.eps_frelu)
-    resid = np.asarray(latent, dtype=float)[data.mask] - fitted[data.mask]
-    total = float(np.sum(cell_marginal_loglik(resid, hp.a_sigma, hp.b_sigma)))
-    for h, c in enumerate(contributions, start=1):
-        total += log_prior_contribution(c, side, hp, h)
-    return total
-
-
 def loading_matrix(fit: FitResult, side: SideInfo, eps: float = 0.0) -> np.ndarray:
     """n x k matrix of effective row loadings frelu(x'beta_h) * psi_ih * u_ih."""
     if fit.rank == 0:
@@ -440,33 +395,15 @@ def loading_matrix(fit: FitResult, side: SideInfo, eps: float = 0.0) -> np.ndarr
     return np.column_stack([c.row_factor(side, eps) for c in fit.contributions])
 
 
-def kernel_similarity(
-    fit: FitResult,
-    side: SideInfo,
-    i: int,
-    l: int,
-    eps: float = 0.0,
-    squared_scale: bool = False,
-) -> float:
-    """Gaussian kernel similarity of rows i and l of the loading matrix.
-
-    ``exp(-0.5 * sum_h (U_ih - U_lh)^2 / s_h)`` with s_h = theta_h by
-    default, or theta_h^2 with ``squared_scale``.  Equals 1 at i = l and is
-    symmetric in (i, l).
-    """
-    if fit.rank < 1:
-        raise ValueError("kernel similarity requires at least one fitted factor")
-    U = loading_matrix(fit, side, eps)
-    theta = np.array([c.rho * c.eta for c in fit.contributions])
-    scale = theta**2 if squared_scale else theta
-    d = U[i] - U[l]
-    return float(np.exp(-0.5 * np.sum(d * d / scale)))
-
-
 def similarity_matrix(
     fit: FitResult, side: SideInfo, eps: float = 0.0, squared_scale: bool = False
 ) -> np.ndarray:
-    """Full n x n Gaussian kernel similarity matrix of the row loadings."""
+    """Full n x n Gaussian kernel similarity matrix of the row loadings.
+
+    Entry (i, l) is ``exp(-0.5 * sum_h (U_ih - U_lh)^2 / s_h)`` with U the
+    :func:`loading_matrix` and s_h = theta_h by default, or theta_h^2 with
+    ``squared_scale``.
+    """
     if fit.rank < 1:
         raise ValueError("similarity matrix requires at least one fitted factor")
     U = loading_matrix(fit, side, eps)

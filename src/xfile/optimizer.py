@@ -27,25 +27,8 @@ accepts a surrogate proposal only when the exact objective does not
 decrease, so the log-posterior is non-decreasing across steps 1-7.
 
 The exact objective (:func:`inner_logpost`) is summed straight from the
-state's arrays.  What no step changes is cached on the :class:`InnerState`
-when it is built: the coefficient prior means, log Pr(rho_h = 1) and the
-Student-t constants.  The loss of the residual with the candidate switched
-off, which every flag decision compares against, is cached too and is
-recomputed only when ``ztilde`` is replaced, i.e. at the latent refresh of
-truncated data.  The coefficient safeguard evaluates the objective once
-before its step and once per trial point; restoring the coefficients reuses
-the value from before the step.
-
-None of steps 1-7 allocates an n x p array, nor does the objective.  Each
-state owns a workspace, allocated once when it is built: four n x p float
-buffers and one n x p bool buffer that every loading, flag and coefficient
-step overwrites with its temporaries, plus one n x p float buffer of its
-own for the objective (the coefficient safeguard evaluates the objective
-while its own buffers still hold the tangent residual for the gradient
-fallback).  The column steps see transposed views of the same (n, p)
-buffers, so every per-row sum adds in the order it would over a fresh
-temporary and the results are the same bit for bit.
-:meth:`InnerState.cells` still returns a fresh array.
+candidate's arrays; :class:`InnerState` holds them with the constants it
+caches and the workspace the steps write into.
 """
 
 from dataclasses import dataclass
@@ -88,8 +71,6 @@ __all__ = [
     "stopping_decision",
     "fit",
     "predict_matrix",
-    "exact_row_loss",
-    "minorant_row_loss",
 ]
 
 GRADIENT_STEP_INIT = 0.1
@@ -121,14 +102,18 @@ class InnerState:
     :func:`run_inner`.  ``mask`` is fixed too, and so is ``unobserved``, its
     complement.
 
-    The state owns the workspace of its steps, allocated here: ``_work``
+    The state owns the workspace of its steps, allocated here, so that no
+    step and no objective evaluation allocates an n x p array: ``_work``
     holds four n x p float buffers and one n x p bool buffer, which every
     loading, flag and coefficient step overwrites, and ``_work_t`` their
     transposed views, which the column steps use.  :func:`inner_logpost`
-    writes the residual into its own n x p buffer ``_resid`` and, when some
-    cells are unobserved, gathers the observed ones into ``_observed``
-    (their flat indices and a buffer of that length).  ``logpost`` is set by
-    :func:`run_inner` and by the coefficient steps.
+    writes the residual into its own n x p buffer ``_resid`` (the
+    coefficient safeguard evaluates the objective while ``_work`` still
+    holds its tangent residual) and, when some cells are unobserved,
+    gathers the observed ones into ``_observed`` (their flat indices and a
+    buffer of that length).  :meth:`cells` without ``out`` returns a fresh
+    array.  ``logpost`` is set by :func:`run_inner` and by the coefficient
+    steps.
     """
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
@@ -673,7 +658,7 @@ def fit(
         else:
             z0 = latent - fitted
         lik0 = float(np.sum(cell_marginal_loglik(z0[data.mask], hp.a_sigma, hp.b_sigma)))
-        mode0 = prior_mode_contribution(side, hp, rho=0)
+        mode0 = prior_mode_contribution(side, hp)
         l_inactive = lik0 + log_prior_contribution(
             mode0, side, hp, h, include_activation=False
         )
@@ -705,27 +690,3 @@ def fit(
 def predict_matrix(fit_result: FitResult, side: SideInfo, eps: float, transform: Transform) -> np.ndarray:
     """Fitted values on the observation scale (latent fit through the transform)."""
     return apply_transform(materialize(fit_result.contributions, side, eps), transform)
-
-
-# ---------------------------------------------------------------------------
-# Surrogate diagnostics (used by the test suite to audit the bound)
-# ---------------------------------------------------------------------------
-
-def exact_row_loss(ztilde, A, u, a_sigma: float, b_sigma: float) -> float:
-    """Masked Student-t loss of one row as a function of its loading u."""
-    r = np.asarray(ztilde, dtype=float) - np.asarray(A, dtype=float) * u
-    return float(np.sum(cell_marginal_loglik(r, a_sigma, b_sigma)))
-
-
-def minorant_row_loss(ztilde, A, u_tan, u, a_sigma: float, b_sigma: float) -> float:
-    """Quadratic lower bound of :func:`exact_row_loss`, tangent at ``u_tan``.
-
-    Bounds log(x) by its tangent log(x0) + (x - x0)/x0 inside the loss.
-    """
-    z = np.asarray(ztilde, dtype=float)
-    A = np.asarray(A, dtype=float)
-    two_b = 2.0 * b_sigma
-    r_tan_sq = (z - A * u_tan) ** 2
-    r_sq = (z - A * u) ** 2
-    terms = np.log1p(r_tan_sq / two_b) + (r_sq - r_tan_sq) / (two_b + r_tan_sq)
-    return float(-(a_sigma + 0.5) * np.sum(terms))

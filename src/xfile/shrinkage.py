@@ -21,8 +21,6 @@ import numpy as np
 
 __all__ = [
     "ShrinkageParams",
-    "StickBreakingState",
-    "sample_sticks",
     "prob_active",
     "activation_tail",
     "expected_rank",
@@ -54,47 +52,6 @@ class ShrinkageParams:
             raise ValueError(
                 f"alpha must exceed -delta, got alpha={self.alpha}, delta={self.delta}"
             )
-
-
-@dataclass(frozen=True)
-class StickBreakingState:
-    """One draw of the stick-breaking weights, truncated at length H.
-
-    ``varpi[l] = omegas[l] * prod_{m<l}(1 - omegas[m])`` and
-    ``pis = cumsum(varpi)`` is the non-decreasing sequence of deactivation
-    probabilities.
-    """
-
-    omegas: np.ndarray
-    varpi: np.ndarray
-    pis: np.ndarray
-
-
-def sample_sticks(params: ShrinkageParams, H: int, rng: np.random.Generator) -> StickBreakingState:
-    """Draws omega_m ~ Beta(1 - delta, alpha + delta*m) for m = 1..H.
-
-    Args:
-        params: stick-breaking parameters.
-        H: truncation level, >= 1.
-        rng: numpy random generator.
-
-    Returns:
-        StickBreakingState with omegas, varpi and pis of length H.
-    """
-    if H < 1:
-        raise ValueError(f"H must be >= 1, got {H}")
-    m = np.arange(1, H + 1, dtype=float)
-    omegas = rng.beta(1.0 - params.delta, params.alpha + params.delta * m)
-    return sticks_from_omegas(omegas)
-
-
-def sticks_from_omegas(omegas: np.ndarray) -> StickBreakingState:
-    """Computes varpi and pis from given stick proportions (unit bookkeeping)."""
-    omegas = np.asarray(omegas, dtype=float)
-    remaining = np.concatenate(([1.0], np.cumprod(1.0 - omegas)[:-1]))
-    varpi = omegas * remaining
-    pis = np.cumsum(varpi)
-    return StickBreakingState(omegas=omegas, varpi=varpi, pis=pis)
 
 
 def prob_active(h: int, params: ShrinkageParams) -> float:
@@ -157,23 +114,19 @@ def expected_rank(params: ShrinkageParams) -> float:
     return (params.alpha + params.delta) / (1.0 - 2.0 * params.delta)
 
 
-def default_truncation(
-    params: ShrinkageParams,
-    tail_mass: float = TAIL_MASS_TARGET,
-    cap: int = TRUNCATION_CAP,
-) -> int:
-    """Smallest H whose remaining activation mass is below ``tail_mass``.
+def default_truncation(params: ShrinkageParams) -> int:
+    """Smallest H whose remaining activation mass is below ``TAIL_MASS_TARGET``.
 
-    Capped at ``cap`` so heavy-tailed settings (large delta) cannot demand
-    unbounded truncations; the simulators compensate the remainder with an
-    analytic tail term.
+    Capped at ``TRUNCATION_CAP`` so heavy-tailed settings (large delta)
+    cannot demand unbounded truncations; the simulators compensate the
+    remainder with an analytic tail term.
     """
-    if activation_tail(params, cap) >= tail_mass:
-        return cap
-    lo, hi = 0, cap
+    if activation_tail(params, TRUNCATION_CAP) >= TAIL_MASS_TARGET:
+        return TRUNCATION_CAP
+    lo, hi = 0, TRUNCATION_CAP
     while lo < hi:
         mid = (lo + hi) // 2
-        if activation_tail(params, mid) < tail_mass:
+        if activation_tail(params, mid) < TAIL_MASS_TARGET:
             hi = mid
         else:
             lo = mid + 1

@@ -5,6 +5,7 @@ import pytest
 
 from xfile.model import (
     FactorContribution,
+    FitResult,
     HyperParams,
     ObservedMatrix,
     SideInfo,
@@ -49,6 +50,12 @@ def random_contribution(n, p, q_x, q_w, rng, rho=1) -> FactorContribution:
     )
 
 
+def fit_result(contributions, latent_residual) -> FitResult:
+    """FitResult holding ``contributions``, with an empty trace."""
+    return FitResult(contributions=tuple(contributions), logpost_trace=np.empty(0),
+                     trace_factors=np.empty(0, dtype=int), latent_residual=latent_residual)
+
+
 def random_state(rng, n=8, p=7, q_x=2, q_w=2, hp=None, sparse_frac=0.5, h=1,
                  full_mask=False) -> InnerState:
     """Random inner state with a mix of on/off flags and a masked residual
@@ -84,6 +91,26 @@ def validated_objective(state):
     resid = (state.ztilde - state.cells())[state.mask]
     return (float(np.sum(cell_marginal_loglik(resid, hp.a_sigma, hp.b_sigma)))
             + log_prior_contribution(state.candidate(1), state.side, hp, state.h))
+
+
+def exact_row_loss(ztilde, A, u, a_sigma: float, b_sigma: float) -> float:
+    """Masked Student-t loss of one row as a function of its loading u."""
+    r = np.asarray(ztilde, dtype=float) - np.asarray(A, dtype=float) * u
+    return float(np.sum(cell_marginal_loglik(r, a_sigma, b_sigma)))
+
+
+def minorant_row_loss(ztilde, A, u_tan, u, a_sigma: float, b_sigma: float) -> float:
+    """Quadratic lower bound of :func:`exact_row_loss`, tangent at ``u_tan``.
+
+    Bounds log(x) by its tangent log(x0) + (x - x0)/x0 inside the loss.
+    """
+    z = np.asarray(ztilde, dtype=float)
+    A = np.asarray(A, dtype=float)
+    two_b = 2.0 * b_sigma
+    r_tan_sq = (z - A * u_tan) ** 2
+    r_sq = (z - A * u) ** 2
+    terms = np.log1p(r_tan_sq / two_b) + (r_sq - r_tan_sq) / (two_b + r_tan_sq)
+    return float(-(a_sigma + 0.5) * np.sum(terms))
 
 
 def strong_multiplicative_instance(seed, n=50, p=50, q_x=5, q_w=5, noise=0.1,

@@ -4,28 +4,30 @@ PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v -s``."""
 import json
 import time
 import warnings
-from math import log
 
 import numpy as np
-import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_hp, make_side, random_state, strong_multiplicative_instance
+from conftest import (
+    exact_row_loss,
+    make_hp,
+    make_side,
+    minorant_row_loss,
+    random_state,
+    strong_multiplicative_instance,
+)
 from xfile.cli import main
 from xfile.io import load_matrix, save_matrix
 from xfile.model import (
     HyperParams,
     ObservedMatrix,
-    SideInfo,
     Transform,
     cell_marginal_loglik,
 )
 from xfile.optimizer import (
     InnerState,
-    exact_row_loss,
     fit,
     inner_logpost,
-    minorant_row_loss,
     predict_matrix,
     run_inner,
     step_eta,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_hp, make_side
-from xfile.model import ObservedMatrix, SideInfo, Transform, materialize
+from xfile.model import ObservedMatrix, SideInfo, Transform
 from xfile.optimizer import fit, predict_matrix
 from xfile.shrinkage import ShrinkageParams
 

@@ -1,13 +1,12 @@
 """CSV ingestion, model persistence, exports, and the CLI pipeline."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_hp, make_side
-from xfile.cli import hyperparams_from_dict, main
+from conftest import fit_result, make_hp, make_side, random_contribution
+from xfile.cli import main
 from xfile.io import (
     MatrixParseError,
     export_analysis,
@@ -19,7 +18,13 @@ from xfile.io import (
     write_fit_outputs,
     write_pgm,
 )
-from xfile.model import ObservedMatrix, Transform, materialize, similarity_matrix
+from xfile.model import (
+    ObservedMatrix,
+    Transform,
+    hyperparams_from_dict,
+    materialize,
+    similarity_matrix,
+)
 from xfile.optimizer import fit
 from xfile.shrinkage import ShrinkageParams
 
@@ -100,12 +105,28 @@ class TestModelPersistence:
             np.testing.assert_array_equal(a.psi_tilde, b.psi_tilde)
             np.testing.assert_array_equal(a.beta, b.beta)
             np.testing.assert_array_equal(a.v_tilde, b.v_tilde)
+            np.testing.assert_array_equal(a.phi_tilde, b.phi_tilde)
             np.testing.assert_array_equal(a.gamma, b.gamma)
             assert a.eta == b.eta and a.rho == b.rho
         np.testing.assert_allclose(
             materialize(loaded.contributions, side2, eps),
             materialize(result.contributions, side, hp.eps_frelu),
         )
+
+    @pytest.mark.parametrize("rank", [3, 0])
+    def test_save_load_save_byte_identical(self, tmp_path, rng, rank):
+        n, p = 7, 5
+        side = make_side(n, p, 3, 2, rng)
+        result = fit_result([random_contribution(n, p, 3, 2, rng) for _ in range(rank)],
+                             rng.standard_normal((n, p)))
+        save_model(tmp_path / "a", result, side, Transform.NONNEG_TRUNCATION, 0.25)
+        save_model(tmp_path / "b", *load_model(tmp_path / "a"))
+        names = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert len(names) == 11  # manifest, six families, theta, x, w, residual
+        assert sorted(f.name for f in (tmp_path / "b").iterdir()) == names
+        for name in names:
+            first, second = ((tmp_path / d / name).read_bytes() for d in "ab")
+            assert second == first, name
 
     def test_fit_outputs_written(self, tmp_path, rng):
         result, side, data, hp = _small_fit(rng)
@@ -159,11 +180,7 @@ class TestExports:
         assert meta == {"min": 0.0, "max": 4.0, "rows": 2, "cols": 2}
 
     def test_rank_zero_warns(self, tmp_path):
-        from xfile.model import FitResult
-
-        empty = FitResult(contributions=(), logpost_trace=np.empty(0),
-                          trace_factors=np.empty(0, dtype=int),
-                          latent_residual=np.zeros((3, 3)))
+        empty = fit_result([], np.zeros((3, 3)))
         with pytest.warns(RuntimeWarning, match="rank-0"):
             export_analysis(empty, make_side(3, 3), tmp_path)
         assert (tmp_path / "archetypes.csv").read_text() == ""
@@ -322,6 +339,42 @@ class TestCli:
         cfg_used = json.loads((tmp_path / "config_used.json").read_text())
         assert len(cfg_used["grid_trials"]) == 2
         assert cfg_used["hyper"]["alpha"] in (1.0, 3.0)
+
+    @pytest.mark.parametrize("shape", [(8, 7), (2, 2)])
+    def test_predict_mask_shape_mismatch(self, tmp_path, rng, capsys, shape):
+        model = tmp_path / "model"
+        result = fit_result([random_contribution(6, 5, 1, 1, rng)], np.zeros((6, 5)))
+        save_model(model, result, make_side(6, 5), Transform.IDENTITY, 0.0)
+        mask_path = tmp_path / "mask.csv"
+        save_matrix(mask_path, np.ones(shape))
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--mask", str(mask_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(shape) in err and "(6, 5)" in err
+        assert not out.exists()
+
+    def test_simulate_unknown_scenario_key(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"n": 15, "bogus": 1}))
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bogus" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag", [("fit", "--config"), ("simulate", "--scenario")])
+    def test_json_input_must_be_an_object(self, tmp_path, capsys, command, flag):
+        data_path = tmp_path / "d.csv"
+        save_matrix(data_path, np.ones((3, 3)))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"n": 15}]))
+        args = {"fit": ["--data", str(data_path), "--out-dir", str(tmp_path / "o")],
+                "simulate": ["--out", str(tmp_path / "r.csv")]}[command]
+        assert main([command, flag, str(bad)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON object" in err
 
     def test_missing_file_is_clean_error(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "absent.csv"),

@@ -1,4 +1,4 @@
-"""Data model, densities, and log-posterior assembly."""
+"""Data model, densities, and similarity exports."""
 
 from math import log, pi, sqrt
 
@@ -8,24 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from conftest import make_hp, make_side, random_contribution
+from conftest import fit_result, make_hp, make_side, random_contribution
 from xfile.model import (
     FactorContribution,
-    HyperParams,
     ObservedMatrix,
     SideInfo,
     Transform,
     cell_marginal_loglik,
     frelu,
-    kernel_similarity,
-    log_posterior,
     log_prior_contribution,
     materialize,
-    prior_mode_contribution,
     similarity_matrix,
 )
-from xfile.optimizer import FitResult
-from xfile.shrinkage import ShrinkageParams, prob_active
+from xfile.shrinkage import prob_active
 
 
 class TestFrelu:
@@ -138,6 +133,14 @@ class TestLogPrior:
             _oracle_log_prior(c, side, hp, h), rel=1e-12
         )
 
+    def test_sign_flip_invariance(self, rng):
+        hp = make_hp()
+        side = make_side(6, 5, 2, 2, rng)
+        c = random_contribution(6, 5, 2, 2, rng)
+        assert log_prior_contribution(c, side, hp, 1) == log_prior_contribution(
+            c.flip_signs(), side, hp, 1
+        )
+
     def test_activation_split(self, rng):
         hp = make_hp()
         side = make_side(5, 5, 2, 2, rng)
@@ -145,57 +148,6 @@ class TestLogPrior:
         with_act = log_prior_contribution(c, side, hp, 3, include_activation=True)
         without = log_prior_contribution(c, side, hp, 3, include_activation=False)
         assert with_act - without == pytest.approx(log(prob_active(3, hp.shrink)))
-
-
-class TestLogPosterior:
-    def test_zero_model_zero_data(self):
-        hp = make_hp()
-        side = make_side(4, 3)
-        data = ObservedMatrix(np.zeros((4, 3)), np.ones((4, 3), bool))
-        assert log_posterior(data, side, hp, []) == 0.0
-
-    def test_adding_switched_off_contribution(self, rng):
-        hp = make_hp()
-        side = make_side(6, 5, 2, 2, rng)
-        values = rng.standard_normal((6, 5))
-        data = ObservedMatrix(values, np.ones((6, 5), bool))
-        c1 = random_contribution(6, 5, 2, 2, rng)
-        off = prior_mode_contribution(side, hp, rho=0)
-        base = log_posterior(data, side, hp, [c1])
-        extended = log_posterior(data, side, hp, [c1, off])
-        assert extended - base == pytest.approx(
-            log_prior_contribution(off, side, hp, 2), rel=1e-12
-        )
-
-    def test_sign_flip_invariance(self, rng):
-        hp = make_hp()
-        side = make_side(6, 5, 2, 2, rng)
-        values = rng.standard_normal((6, 5))
-        mask = rng.random((6, 5)) > 0.2
-        data = ObservedMatrix(values, mask)
-        c = random_contribution(6, 5, 2, 2, rng)
-        assert log_posterior(data, side, hp, [c]) == pytest.approx(
-            log_posterior(data, side, hp, [c.flip_signs()]), rel=1e-12
-        )
-
-    def test_latent_contract(self, rng):
-        hp = make_hp()
-        side = make_side(3, 3)
-        values = np.abs(rng.standard_normal((3, 3)))
-        values[0, 0] = 0.0
-        data = ObservedMatrix(values, np.ones((3, 3), bool), Transform.NONNEG_TRUNCATION)
-        good = values.copy()
-        good[0, 0] = -0.7
-        log_posterior(data, side, hp, [], latent=good)
-        bad = values.copy()
-        bad[0, 0] = 0.4  # positive latent at an observed zero
-        with pytest.raises(ValueError):
-            log_posterior(data, side, hp, [], latent=bad)
-        with pytest.raises(ValueError):
-            log_posterior(data, side, hp, [], latent=None)
-        ident = ObservedMatrix(values, np.ones((3, 3), bool))
-        with pytest.raises(ValueError):
-            log_posterior(ident, side, hp, [], latent=values + 1.0)
 
 
 class TestMaterialize:
@@ -226,28 +178,14 @@ class TestMaterialize:
         )
 
 
-def _fit_result(contributions):
-    n = contributions[0].u_tilde.size
-    p = contributions[0].v_tilde.size
-    return FitResult(
-        contributions=tuple(contributions),
-        logpost_trace=np.empty(0),
-        trace_factors=np.empty(0, dtype=int),
-        latent_residual=np.zeros((n, p)),
-    )
-
-
 class TestKernelSimilarity:
     def test_diagonal_and_symmetry(self, rng):
         side = make_side(6, 5, 2, 2, rng)
-        fit = _fit_result([random_contribution(6, 5, 2, 2, rng) for _ in range(3)])
-        for i in range(6):
-            assert kernel_similarity(fit, side, i, i) == pytest.approx(1.0)
-        for i in range(6):
-            for l in range(6):
-                assert kernel_similarity(fit, side, i, l) == pytest.approx(
-                    kernel_similarity(fit, side, l, i)
-                )
+        contributions = [random_contribution(6, 5, 2, 2, rng) for _ in range(3)]
+        fit = fit_result(contributions, np.zeros((6, 5)))
+        S = similarity_matrix(fit, side)
+        np.testing.assert_allclose(np.diag(S), np.ones(6), rtol=1e-12)
+        np.testing.assert_allclose(S, S.T, rtol=1e-12)
 
     def test_two_factor_hand_case(self):
         # two rows, two factors, intercept-only links (value 1), flags on
@@ -262,31 +200,19 @@ class TestKernelSimilarity:
             beta=np.array([1.0]), v_tilde=np.ones(3), phi_tilde=np.ones(3),
             gamma=np.array([1.0]), eta=0.5, rho=1,
         )
-        fit = _fit_result([c1, c2])
+        fit = fit_result([c1, c2], np.zeros((2, 3)))
         # loadings: row0 = (1, 0), row1 = (3, 1); scales (2, 0.5)
         expected = np.exp(-0.5 * ((1.0 - 3.0) ** 2 / 2.0 + (0.0 - 1.0) ** 2 / 0.5))
-        assert kernel_similarity(fit, side, 0, 1) == pytest.approx(expected)
+        np.testing.assert_allclose(similarity_matrix(fit, side),
+                                   [[1.0, expected], [expected, 1.0]], rtol=1e-12)
         expected_sq = np.exp(-0.5 * ((1.0 - 3.0) ** 2 / 4.0 + (0.0 - 1.0) ** 2 / 0.25))
-        assert kernel_similarity(fit, side, 0, 1, squared_scale=True) == pytest.approx(
-            expected_sq
-        )
-
-    def test_matrix_matches_pairwise(self, rng):
-        side = make_side(5, 4, 2, 2, rng)
-        fit = _fit_result([random_contribution(5, 4, 2, 2, rng) for _ in range(2)])
-        S = similarity_matrix(fit, side)
-        for i in range(5):
-            for l in range(5):
-                assert S[i, l] == pytest.approx(kernel_similarity(fit, side, i, l))
+        np.testing.assert_allclose(similarity_matrix(fit, side, squared_scale=True),
+                                   [[1.0, expected_sq], [expected_sq, 1.0]], rtol=1e-12)
 
     def test_rank_zero_rejected(self):
         side = make_side(3, 3)
-        fit = FitResult(
-            contributions=(), logpost_trace=np.empty(0),
-            trace_factors=np.empty(0, dtype=int), latent_residual=np.zeros((3, 3)),
-        )
         with pytest.raises(ValueError):
-            kernel_similarity(fit, side, 0, 1)
+            similarity_matrix(fit_result([], np.zeros((3, 3))), side)
 
 
 class TestValidation:

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_hp, make_side, random_state, validated_objective
+from conftest import (
+    exact_row_loss,
+    make_hp,
+    make_side,
+    minorant_row_loss,
+    random_state,
+    validated_objective,
+)
 from xfile import optimizer
 from xfile.latent import initial_latent
 from xfile.model import (
@@ -20,9 +27,7 @@ from xfile.model import (
 from xfile.optimizer import (
     GRADIENT_MAX_HALVINGS,
     InnerState,
-    exact_row_loss,
     inner_logpost,
-    minorant_row_loss,
     run_inner,
     step_beta,
     step_eta,

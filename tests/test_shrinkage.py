@@ -1,12 +1,10 @@
-"""Stick-breaking prior: closed forms, sampling invariants, Monte Carlo."""
+"""Stick-breaking prior: closed forms, truncation, Monte Carlo."""
 
 from contextlib import nullcontext
 from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from xfile.shrinkage import (
     ShrinkageParams,
@@ -14,10 +12,8 @@ from xfile.shrinkage import (
     default_truncation,
     expected_rank,
     prob_active,
-    sample_sticks,
     simulate_prior_ranks,
     simulate_rank_pmf,
-    sticks_from_omegas,
 )
 
 
@@ -30,43 +26,6 @@ class TestParams:
     def test_invalid(self, alpha, delta):
         with pytest.raises(ValueError):
             ShrinkageParams(alpha=alpha, delta=delta)
-
-
-class TestStickBreaking:
-    def test_first_stick_consumes_everything(self):
-        state = sticks_from_omegas(np.array([1.0, 0.3, 0.9]))
-        np.testing.assert_allclose(state.varpi, [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(state.pis, [1.0, 1.0, 1.0])
-
-    def test_geometric_halving(self):
-        state = sticks_from_omegas(np.array([0.5, 0.5, 0.5]))
-        np.testing.assert_allclose(state.varpi, [0.5, 0.25, 0.125])
-        np.testing.assert_allclose(state.pis, [0.5, 0.75, 0.875])
-
-    def test_beta_mean(self):
-        # omegas ~ Beta(1, 5) for delta = 0, alpha = 5: mean 1/6
-        rng = np.random.default_rng(7)
-        state = sample_sticks(ShrinkageParams(5.0, 0.0), 100_000, rng)
-        mean = state.omegas.mean()
-        mcse = state.omegas.std(ddof=1) / np.sqrt(state.omegas.size)
-        assert abs(mean - 1.0 / 6.0) < 3 * mcse
-
-    def test_invalid_truncation(self):
-        with pytest.raises(ValueError):
-            sample_sticks(ShrinkageParams(5.0, 0.0), 0, np.random.default_rng(0))
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_invariants(self, omegas):
-        state = sticks_from_omegas(np.array(omegas))
-        # varpi_l = omega_l * prod_{m<l} (1 - omega_m)
-        prod = 1.0
-        for l, om in enumerate(omegas):
-            assert state.varpi[l] == pytest.approx(om * prod, abs=1e-12)
-            prod *= 1.0 - om
-        assert np.all(np.diff(state.pis) >= -1e-12)
-        assert state.varpi.sum() <= 1.0 + 1e-9
-        assert np.all(state.pis <= 1.0 + 1e-9)
 
 
 class TestProbActive:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from conftest import make_hp
 from xfile.model import HyperParams
 from xfile.shrinkage import ShrinkageParams
 from xfile.simulate import (
