@@ -267,8 +267,14 @@ def export_analysis(
     the effective row loadings, entries in {-1, 0, 1}), similarity.csv (the
     Gaussian-kernel row-similarity matrix) and, when a grid shape is given,
     one archetype_<h>.pgm map per factor with a JSON sidecar recording the
-    rescaling.  A rank-0 model produces empty-schema files and a warning.
+    rescaling.  A grid shape that does not tile the columns is rejected
+    before anything is written.  A rank-0 model produces empty-schema files
+    and a warning.
     """
+    p = side.w.shape[0]
+    if (grid_rows is None) != (grid_cols is None) or (
+            grid_rows is not None and grid_rows * grid_cols != p):
+        raise ValueError(f"grid {grid_rows}x{grid_cols} does not tile {p} column cells")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k = result.rank
@@ -284,14 +290,9 @@ def export_analysis(
     _write_array(out / "loading_signs.csv", signs)
     _write_array(out / "similarity.csv",
                  similarity_matrix(result, side, eps_frelu, squared_scale))
-    if grid_rows is None and grid_cols is None:
+    if grid_rows is None:
         warnings.warn("no grid shape given: skipping PGM archetype maps", RuntimeWarning)
         return
-    p = archetypes.shape[0]
-    if grid_rows is None or grid_cols is None or grid_rows * grid_cols != p:
-        raise ValueError(
-            f"grid {grid_rows}x{grid_cols} does not tile {p} column cells"
-        )
     for h in range(k):
         image = archetypes[:, h].reshape(grid_rows, grid_cols)
         meta = write_pgm(out / f"archetype_{h + 1}.pgm", image)

@@ -4,41 +4,37 @@ Heatmap-style data with exact zeros is modeled as y = z * 1{z > 0}: a zero
 is observed whenever the latent Gaussian value is non-positive.  During the
 stage-wise fit the latent residual at observed zeros is treated as an extra
 parameter and refreshed once per inner iteration (after the scale update)
-with the mode of its truncated Student-t full conditional.
+with the mode of its truncated Student-t full conditional.  Only those
+cells (:func:`observed_zeros`) are refreshed: the latent value is pinned to
+y at observed y > 0, and unobserved cells carry no data.
 """
 
 import numpy as np
 
 from .model import ObservedMatrix, Transform
 
-__all__ = ["update_latent", "apply_transform", "initial_latent"]
+__all__ = ["observed_zeros", "update_latent", "apply_transform", "initial_latent"]
 
 
-def update_latent(
-    z_tilde: np.ndarray,
-    fitted_prev: np.ndarray,
-    fitted_curr: np.ndarray,
-    data: ObservedMatrix,
-) -> np.ndarray:
-    """Returns the latent residual set to the mode of its full conditional.
-
-    ``z_tilde`` is the residual of the latent matrix after subtracting the
-    previously accepted factors (``fitted_prev``); ``fitted_curr`` adds the
-    current candidate.  At observed y > 0 the latent value is pinned, so
-    z_tilde = y - fitted_prev.  At observed y = 0 the full conditional of
-    z_tilde is a Student-t truncated to (-inf, -fitted_prev); its mode is
-    taken as fitted_curr when fitted_curr < -fitted_prev and as the boundary
-    -fitted_prev otherwise, so fitted_prev + z_tilde <= 0 there.  Returns
-    ``z_tilde`` itself under the identity transform.
-    """
+def observed_zeros(data: ObservedMatrix) -> np.ndarray:
+    """Flat indices of the observed zeros; empty under the identity transform."""
     if data.transform != Transform.NONNEG_TRUNCATION:
-        return z_tilde
-    z = z_tilde.copy()
-    pos = data.mask & (data.values > 0)
-    zero = data.mask & (data.values == 0)
-    z[pos] = data.values[pos] - fitted_prev[pos]
-    z[zero] = np.minimum(fitted_curr[zero], -fitted_prev[zero])
-    return z
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(data.mask & (data.values == 0))
+
+
+def update_latent(fitted_prev: np.ndarray, cells: np.ndarray, out=None) -> np.ndarray:
+    """Latent residual z_tilde at observed zeros, set to the mode of its full
+    conditional, into ``out``; overwrites ``cells``.
+
+    ``fitted_prev`` is the accepted factors' fit and ``cells`` the current
+    candidate's at those zeros.  The full conditional of z_tilde is a
+    Student-t truncated to (-inf, -fitted_prev); its mode is taken as
+    fitted_prev + cells below -fitted_prev and as the boundary otherwise.
+    """
+    curr = np.add(fitted_prev, cells, out=cells)
+    bound = np.negative(fitted_prev, out=out)
+    return np.minimum(curr, bound, out=bound)
 
 
 def apply_transform(latent: np.ndarray, transform: Transform) -> np.ndarray:

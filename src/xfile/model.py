@@ -280,13 +280,15 @@ def cell_marginal_loglik(residual, a_sigma: float, b_sigma: float):
     """
     if a_sigma <= 0 or b_sigma <= 0:
         raise ValueError("a_sigma and b_sigma must be > 0")
-    out = _cell_loss(np.asarray(residual, dtype=float), -(a_sigma + 0.5), 2.0 * b_sigma)
+    r = np.array(residual, dtype=float)
+    out = -(a_sigma + 0.5) * _log1p_sq(r, 2.0 * b_sigma, out=r)
     return float(out) if np.isscalar(residual) else out
 
 
-def _cell_loss(r: np.ndarray, neg_a_half: float, two_b: float) -> np.ndarray:
-    """The Student-t cell loss from its constants -(a_sigma + 1/2) and 2 b_sigma."""
-    return neg_a_half * np.log1p(r * r / two_b)
+def _log1p_sq(r: np.ndarray, two_b: float, out=None) -> np.ndarray:
+    """log1p(r * r / 2 b_sigma), the cell loss over -(a_sigma + 1/2), into ``out``."""
+    out = np.multiply(r, r, out=out)
+    return np.log1p(np.divide(out, two_b, out=out), out=out)
 
 
 def _log_invgamma(x: float, shape: float, rate: float) -> float:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .latent import apply_transform, initial_latent, update_latent
+from .latent import apply_transform, initial_latent, observed_zeros, update_latent
 from .model import (
     FactorContribution,
     FitResult,
@@ -45,6 +45,7 @@ from .model import (
     ObservedMatrix,
     SideInfo,
     Transform,
+    _log1p_sq,
     _log_prior,
     beta_prior_mean,
     cell_marginal_loglik,
@@ -95,12 +96,11 @@ class InnerState:
     constants of the objective that follow from them are cached when it is
     built: the coefficient prior means ``mu_b``/``mu_g``, ``log_q`` =
     log Pr(rho_h = 1), ``neg_a_half`` = -(a_sigma + 1/2) and ``two_b`` =
-    2 b_sigma.  ``off_loss`` = log1p(ztilde^2 / two_b), the per-cell loss
+    2 b_sigma.  ``off_loss`` = log1p(ztilde^2 / two_b) is the per-cell loss
     (over -(a_sigma + 1/2)) of the residual with the candidate switched
-    off, is recomputed whenever ``ztilde`` is assigned (in-place updates
-    must be assigned back); in a fit that is the latent refresh of
-    :func:`run_inner`.  ``mask`` is fixed too, and so is ``unobserved``, its
-    complement.
+    off.  Both arrays are written only here and, at the observed zeros of
+    truncated data, by the latent refresh of :func:`run_inner`.  ``mask``
+    is fixed too, and so is ``unobserved``, its complement.
 
     The state owns the workspace of its steps, allocated here, so that no
     step and no objective evaluation allocates an n x p array: ``_work``
@@ -127,7 +127,8 @@ class InnerState:
         self.log_q = log(prob_active(h, hp.shrink))
         self.neg_a_half = -(hp.a_sigma + 0.5)
         self.two_b = 2.0 * hp.b_sigma
-        self.ztilde = ztilde
+        self.ztilde = np.asarray(ztilde, dtype=float)
+        self.off_loss = _log1p_sq(self.ztilde, self.two_b)
         self.u = np.asarray(u, dtype=float)
         self.psi = np.asarray(psi, dtype=float)
         self.beta = np.asarray(beta, dtype=float)
@@ -146,23 +147,17 @@ class InnerState:
             index = np.flatnonzero(self.mask)
             self._observed = (index, np.empty(index.size))
 
-    @property
-    def ztilde(self) -> np.ndarray:
-        return self._ztilde
-
-    @ztilde.setter
-    def ztilde(self, value):
-        self._ztilde = np.asarray(value, dtype=float)
-        self.off_loss = np.log1p(self._ztilde**2 / self.two_b)
-
     def refresh_links(self):
         self.fx = frelu(self.side.x @ self.beta, self.hp.eps_frelu)
         self.gw = frelu(self.side.w @ self.gamma, self.hp.eps_frelu)
 
+    def factors(self):
+        """The row and column factors a, b of the cells eta * (a_i * b_j)."""
+        return self.fx * self.psi * self.u, self.gw * self.phi * self.v
+
     def cells(self, out=None):
         """The candidate's n x p cells, into ``out`` or else a fresh array."""
-        return _scaled_outer(self.eta, self.fx * self.psi * self.u,
-                             self.gw * self.phi * self.v, out)
+        return _scaled_outer(self.eta, *self.factors(), out)
 
     def candidate(self, rho: int = 1) -> FactorContribution:
         return FactorContribution(
@@ -187,11 +182,7 @@ def inner_logpost(state: InnerState) -> float:
     else:
         index, observed = state._observed
         resid = np.take(resid, index, mode="clip", out=observed)
-    # model._cell_loss, in place: neg_a_half * log1p(r * r / two_b)
-    np.multiply(resid, resid, out=resid)
-    np.divide(resid, state.two_b, out=resid)
-    np.log1p(resid, out=resid)
-    np.multiply(state.neg_a_half, resid, out=resid)
+    np.multiply(state.neg_a_half, _log1p_sq(resid, state.two_b, out=resid), out=resid)
     lik = float(np.sum(resid))
     prior = _log_prior(state.u, state.psi, state.beta, state.v, state.phi, state.gamma,
                        state.eta, state.mu_b, state.mu_g, state.hp)
@@ -271,10 +262,7 @@ def _surrogate_sums(s: _Side, state: InnerState, A, at, invalid, r_tan, denom, t
 def _masked_loglik_delta(s: _Side, state: InnerState, cells_on: np.ndarray) -> np.ndarray:
     """Per-row sums of the loss gain of switching each row's block on:
     loss(ztilde) - loss(ztilde - cells_on).  Overwrites ``cells_on``."""
-    gain = np.subtract(s.ztilde, cells_on, out=cells_on)
-    np.square(gain, out=gain)
-    np.divide(gain, state.two_b, out=gain)
-    np.log1p(gain, out=gain)
+    gain = _log1p_sq(np.subtract(s.ztilde, cells_on, out=cells_on), state.two_b, out=cells_on)
     np.subtract(s.off_loss, gain, out=gain)
     gain[s.unobserved] = 0.0
     return (state.hp.a_sigma + 0.5) * gain.sum(axis=1)
@@ -470,7 +458,7 @@ WARMUP_REL_TOL = 1e-4
 
 def run_inner(
     state: InnerState,
-    data: ObservedMatrix | None = None,
+    zeros: np.ndarray | None = None,
     fitted_prev: np.ndarray | None = None,
     on_step=None,
 ) -> list[float]:
@@ -484,9 +472,15 @@ def run_inner(
     roughly stabilized the flag steps join and the full cycle 1-7 (plus the
     latent refresh for truncated data) runs to convergence.  Returns the
     per-iteration objective values, starting value included.
+
+    Truncated data passes the flat indices of its observed ``zeros``
+    (:func:`latent.observed_zeros`) and the accepted factors' ``fitted_prev``.
     """
     hp = state.hp
-    truncated = data is not None and data.transform == Transform.NONNEG_TRUNCATION
+    if zeros is not None:  # buffers of the latent refresh: only the zeros can change
+        rows, cols = np.divmod(zeros, state.mask.shape[1])
+        prev = np.take(fitted_prev, zeros)
+        cells, z = np.empty(zeros.size), np.empty(zeros.size)
     j_prev = inner_logpost(state)
     trace = [j_prev]
     warmup_left = WARMUP_MAX_ITERS
@@ -495,10 +489,14 @@ def run_inner(
             fn(state)
             if on_step is not None:
                 on_step(name, state)
-        if truncated:
-            state.ztilde = update_latent(
-                state.ztilde, fitted_prev, fitted_prev + state.cells(), data
-            )
+        if zeros is not None:
+            a, b = state.factors()  # the cells at the zeros as cells() forms them
+            np.take(a, rows, mode="clip", out=cells)
+            np.multiply(cells, np.take(b, cols, mode="clip", out=z), out=cells)
+            np.multiply(state.eta, cells, out=cells)
+            update_latent(prev, cells, out=z)
+            np.put(state.ztilde, zeros, z)
+            np.put(state.off_loss, zeros, _log1p_sq(z, state.two_b, out=cells))
             if on_step is not None:
                 on_step("latent", state)
         j = inner_logpost(state)
@@ -556,7 +554,7 @@ def fit_contribution(
     h: int,
     rng: np.random.Generator,
     mask: np.ndarray | None = None,
-    data: ObservedMatrix | None = None,
+    zeros: np.ndarray | None = None,
     fitted_prev: np.ndarray | None = None,
     on_step=None,
 ) -> InnerFit:
@@ -575,7 +573,7 @@ def fit_contribution(
     for child in rng.spawn(hp.n_restarts):
         sub_rng = np.random.default_rng(child)
         state = _draw_initial_state(residual.copy(), mask, side, hp, h, sub_rng)
-        trace = run_inner(state, data=data, fitted_prev=fitted_prev, on_step=on_step)
+        trace = run_inner(state, zeros=zeros, fitted_prev=fitted_prev, on_step=on_step)
         if best is None or trace[-1] > best.logpost:
             best = InnerFit(
                 candidate=state.candidate(rho=1),
@@ -631,6 +629,7 @@ def fit(
     trace_fids: list[int] = []
     prior_prev = 0.0
     truncated = data.transform == Transform.NONNEG_TRUNCATION
+    zeros = observed_zeros(data)
     root = np.random.default_rng(np.random.SeedSequence(hp.seed))
 
     for h in range(1, hp.max_factors + 1):
@@ -645,7 +644,7 @@ def fit(
             h,
             root,
             mask=data.mask,
-            data=data if truncated else None,
+            zeros=zeros if truncated else None,
             fitted_prev=fitted,
             on_step=on_step,
         )
@@ -653,10 +652,9 @@ def fit(
         l_active = best.logpost - log(q)
 
         # Empty alternative: candidate at prior modes, switched off.
+        z0 = latent - fitted
         if truncated:
-            z0 = update_latent(latent - fitted, fitted, fitted, data)
-        else:
-            z0 = latent - fitted
+            z0.flat[zeros] = update_latent(np.take(fitted, zeros), np.zeros(zeros.size))
         lik0 = float(np.sum(cell_marginal_loglik(z0[data.mask], hp.a_sigma, hp.b_sigma)))
         mode0 = prior_mode_contribution(side, hp)
         l_inactive = lik0 + log_prior_contribution(
@@ -673,9 +671,7 @@ def fit(
         trace_vals.extend(v + prior_prev for v in best.trace)
         trace_fids.extend([h] * len(best.trace))
         prior_prev += log_prior_contribution(cand, side, hp, h)
-        if truncated:
-            zero = data.mask & (data.values == 0)
-            latent[zero] = best.z_tilde[zero] + fitted[zero]
+        latent.flat[zeros] = best.z_tilde.flat[zeros] + fitted.flat[zeros]
         fitted += cand.cells(side, hp.eps_frelu)
 
     residual = np.where(data.mask, latent - fitted, 0.0)

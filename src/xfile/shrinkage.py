@@ -168,12 +168,14 @@ def simulate_prior_ranks(
     """Samples k = sum_h rho_h with rho_h ~ Bernoulli(1 - pi_h) given sticks.
 
     Uses the identity 1 - pi_h = prod_{m<=h}(1 - omega_m) (remaining stick
-    mass), so each draw costs H Beta variates.  Activations beyond H are,
-    conditionally on the remaining mass R_H, a thinned point process with
-    expected count R_H * c(H) where c(H) = activation_tail(H) / prob_active(H);
-    with ``include_tail`` they are drawn from the matching Poisson law, which
-    keeps the mean of k exact under truncation.  Emits a warning when the
-    truncation leaves more than marginal activation mass uncovered.
+    mass), so each draw costs H Beta variates, or H exponential ones when
+    delta = 0, where the remaining mass is exp(-sum_{m<=h} E_m / alpha).
+    Activations beyond H are, conditionally on the remaining mass R_H, a
+    thinned point process with expected count R_H * c(H) where c(H) =
+    activation_tail(H) / prob_active(H); with ``include_tail`` they are
+    drawn from the matching Poisson law, which keeps the mean of k exact
+    under truncation.  Emits a warning when the truncation leaves more than
+    marginal activation mass uncovered.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -201,8 +203,15 @@ def simulate_prior_ranks(
     done = 0
     while done < n_draws:
         size = min(chunk, n_draws - done)
-        omegas = rng.beta(a_beta, b_beta, size=(size, H))
-        remaining = np.cumprod(1.0 - omegas, axis=1)  # 1 - pi_h per draw
+        # remaining[:, h - 1] = 1 - pi_h per draw, computed in place
+        if params.delta == 0.0:
+            # 1 - omega ~ Beta(alpha, 1) is exactly exp(-E / alpha), E ~ Exp(1)
+            remaining = rng.standard_exponential((size, H))
+            np.cumsum(remaining, axis=1, out=remaining)
+            np.exp(np.divide(remaining, -params.alpha, out=remaining), out=remaining)
+        else:
+            remaining = rng.beta(a_beta, b_beta, size=(size, H))
+            np.cumprod(np.subtract(1.0, remaining, out=remaining), axis=1, out=remaining)
         rho = rng.random((size, H)) < remaining
         act_counts += rho.sum(axis=0)
         k_chunk = rho.sum(axis=1)

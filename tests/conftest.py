@@ -57,12 +57,14 @@ def fit_result(contributions, latent_residual) -> FitResult:
 
 
 def random_state(rng, n=8, p=7, q_x=2, q_w=2, hp=None, sparse_frac=0.5, h=1,
-                 full_mask=False) -> InnerState:
+                 full_mask=False, ztilde=None) -> InnerState:
     """Random inner state with a mix of on/off flags and a masked residual
-    (every cell observed with ``full_mask``)."""
+    (every cell observed with ``full_mask``; ``ztilde`` replaces the drawn
+    residual, which is drawn either way so the other draws stay the same)."""
     hp = hp or make_hp()
     side = make_side(n, p, q_x, q_w, rng)
-    ztilde = rng.standard_normal((n, p)) * 2.0
+    drawn = rng.standard_normal((n, p)) * 2.0
+    ztilde = drawn if ztilde is None else ztilde
     mask = rng.random((n, p)) > 0.15
     if full_mask:
         mask[:] = True

@@ -1,10 +1,12 @@
-"""Golden traces: three small seeded fits must keep their rank and objective trace.
+"""Golden traces: four small seeded fits must keep their rank and objective trace.
 
 The expected values in ``data/golden_traces.json`` were recorded from the
-code before the objective was read from the state's cached arrays, and
-the full-mask case (which takes the objective's path for a mask with every
+code before the objective was read from the state's cached arrays, the
+full-mask case (which takes the objective's path for a mask with every
 cell observed) from the code before the steps wrote into the state's
-workspace; a speed-up that changes any number of these fits fails here.  The cases are
+workspace, and the truncated case with held-out cells from the code that
+still rebuilt the whole latent residual on each refresh; a speed-up that
+changes any number of these fits fails here.  The cases are
 built by :func:`build_case` alone, so the file can be recorded again with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
@@ -24,8 +26,9 @@ from xfile.optimizer import fit
 from xfile.shrinkage import ShrinkageParams
 
 GOLDEN = Path(__file__).parent / "data" / "golden_traces.json"
-CASES = ("identity-holdout", "truncated", "identity-full")
-SEEDS = {"identity-holdout": 2024, "truncated": 2025, "identity-full": 2026}
+CASES = ("identity-holdout", "truncated", "identity-full", "truncated-holdout")
+SEEDS = {"identity-holdout": 2024, "truncated": 2025, "identity-full": 2026,
+         "truncated-holdout": 2027}
 
 
 def build_case(name):
@@ -44,8 +47,11 @@ def build_case(name):
         data = ObservedMatrix(latent, rng.random((n, p)) > 0.2)
     elif name == "identity-full":
         data = ObservedMatrix(latent, np.ones((n, p), bool))
-    else:
+    elif name == "truncated":
         data = ObservedMatrix(np.maximum(latent, 0.0), np.ones((n, p), bool),
+                              Transform.NONNEG_TRUNCATION)
+    else:
+        data = ObservedMatrix(np.maximum(latent, 0.0), rng.random((n, p)) > 0.2,
                               Transform.NONNEG_TRUNCATION)
     hp = HyperParams(
         a_sigma=1.0, b_sigma=0.5, a_eta=2.0, b_eta=1.0, shrink=ShrinkageParams(3.0, 0.0),

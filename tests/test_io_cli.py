@@ -355,6 +355,18 @@ class TestCli:
         assert str(shape) in err and "(6, 5)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", [["--grid-rows", "3", "--grid-cols", "3"],
+                                      ["--grid-rows", "2"]])
+    def test_export_bad_grid_writes_nothing(self, tmp_path, rng, capsys, grid):
+        model = tmp_path / "model"
+        result = fit_result([random_contribution(9, 8, 1, 1, rng)], np.zeros((9, 8)))
+        save_model(model, result, make_side(9, 8), Transform.IDENTITY, 0.0)
+        exp = tmp_path / "exp"
+        assert main(["export", "--model", str(model), "--out-dir", str(exp), *grid]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        for name in ("archetypes.csv", "loading_signs.csv", "similarity.csv"):
+            assert not (exp / name).exists()
+
     def test_simulate_unknown_scenario_key(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"n": 15, "bogus": 1}))

@@ -3,61 +3,88 @@
 import numpy as np
 import pytest
 
-from conftest import make_hp, make_side
-from xfile.latent import apply_transform, initial_latent, update_latent
+from conftest import make_hp, make_side, random_state
+from xfile.latent import apply_transform, initial_latent, observed_zeros, update_latent
 from xfile.model import ObservedMatrix, Transform
-from xfile.optimizer import fit
+from xfile.optimizer import InnerState, fit, run_inner
 from xfile.shrinkage import ShrinkageParams
 
+PARAMS = ("u", "psi", "beta", "v", "phi", "gamma", "eta")
 
-def _cell(z, prev, curr):
-    """(z_tilde, fitted_prev, fitted_curr) for a single cell."""
-    return np.array([[float(z)]]), np.array([[float(prev)]]), np.array([[float(curr)]])
+
+def _zero_cell(prev, curr):
+    """(fitted_prev, cells) at one observed zero whose cumulative fit with
+    the candidate is ``curr``."""
+    return np.array([float(prev)]), np.array([float(curr) - float(prev)])
+
+
+class TestObservedZeros:
+    def test_only_observed_zeros_in_row_major_order(self):
+        # positive cells are pinned and unobserved cells carry no data
+        values = np.array([[0.0, 3.0, 0.0], [2.0, 0.0, 0.0]])
+        mask = np.array([[True, True, False], [True, True, True]])
+        data = ObservedMatrix(values, mask, Transform.NONNEG_TRUNCATION)
+        np.testing.assert_array_equal(observed_zeros(data), [0, 4, 5])
+
+    def test_identity_has_none(self):
+        data = ObservedMatrix(np.array([[0.0, 3.0]]), np.ones((1, 2), bool))
+        assert observed_zeros(data).size == 0
 
 
 class TestUpdateLatent:
-    def test_positive_cell_subtracts_previous_fit(self):
-        data = ObservedMatrix(np.array([[3.0]]), np.ones((1, 1), bool),
-                              Transform.NONNEG_TRUNCATION)
-        out = update_latent(*_cell(0.0, 1.0, 1.4), data)
-        assert out[0, 0] == pytest.approx(2.0)
-
     def test_zero_cell_interior_mode(self):
         # cumulative fit -1 below the bound 0.5: keep the interior value
-        data = ObservedMatrix(np.array([[0.0]]), np.ones((1, 1), bool),
-                              Transform.NONNEG_TRUNCATION)
-        out = update_latent(*_cell(9.9, -0.5, -1.0), data)
-        assert out[0, 0] == pytest.approx(-1.0)
+        out = update_latent(*_zero_cell(-0.5, -1.0))
+        assert out[0] == pytest.approx(-1.0)
 
     def test_zero_cell_clipped_at_bound(self):
-        data = ObservedMatrix(np.array([[0.0]]), np.ones((1, 1), bool),
-                              Transform.NONNEG_TRUNCATION)
-        out = update_latent(*_cell(9.9, 0.5, 0.2), data)
-        assert out[0, 0] == pytest.approx(-0.5)
-
-    def test_identity_noop(self):
-        data = ObservedMatrix(np.array([[3.0]]), np.ones((1, 1), bool))
-        z, prev, curr = _cell(123.0, 1.0, 2.0)
-        assert update_latent(z, prev, curr, data) is z
-
-    def test_unobserved_cells_untouched(self):
-        values = np.array([[0.0, 2.0]])
-        mask = np.array([[True, False]])
-        data = ObservedMatrix(values, mask, Transform.NONNEG_TRUNCATION)
-        out = update_latent(np.array([[5.0, 7.0]]), np.zeros((1, 2)), np.ones((1, 2)), data)
-        assert out[0, 1] == 7.0
+        out = update_latent(*_zero_cell(0.5, 0.2))
+        assert out[0] == pytest.approx(-0.5)
 
     def test_invariants_after_update(self, rng):
-        n = p = 8
-        values = np.maximum(rng.standard_normal((n, p)), 0.0)
-        data = ObservedMatrix(values, np.ones((n, p), bool), Transform.NONNEG_TRUNCATION)
-        prev = rng.standard_normal((n, p))
-        curr = prev + rng.standard_normal((n, p))
-        out = update_latent(rng.standard_normal((n, p)), prev, curr, data)
-        pos = values > 0
-        np.testing.assert_allclose(out[pos], (values - prev)[pos])
-        zero = values == 0
-        assert np.all((prev + out)[zero] <= 1e-12)
+        prev = rng.standard_normal(64)
+        cells = rng.standard_normal(64)
+        out = np.empty(64)
+        assert update_latent(prev, cells.copy(), out=out) is out
+        np.testing.assert_array_equal(out, np.minimum(prev + cells, -prev))
+        assert np.all(prev + out <= 1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_refresh_writes_the_full_matrix_mode_at_zeros_only(self, seed):
+        # The in-place refresh of run_inner against the full n x p formula:
+        # positive cells keep y - fitted_prev, unobserved cells keep their
+        # value, and off_loss is the fresh loss of the refreshed residual.
+        rng = np.random.default_rng(seed)
+        n, p = 9, 7
+        values = np.maximum(rng.standard_normal((n, p)) + 0.3, 0.0)
+        mask = rng.random((n, p)) > 0.2
+        data = ObservedMatrix(values, mask, Transform.NONNEG_TRUNCATION)
+        fitted_prev = 0.5 * np.outer(rng.standard_normal(n), rng.standard_normal(p))
+        ztilde = initial_latent(data) - fitted_prev
+        ztilde[~mask] = rng.standard_normal(int((~mask).sum()))
+        base = random_state(rng, n=n, p=p, hp=make_hp(max_inner_iters=4), h=2)
+        state = InnerState(ztilde=ztilde, mask=mask, side=base.side, hp=base.hp, h=2,
+                           **{k: getattr(base, k) for k in PARAMS})
+        zero = mask & (values == 0)
+        before = []
+        checked = [0]
+
+        def on_step(name, s):
+            if name == "eta":
+                before.append(s.ztilde.copy())
+            elif name == "latent":
+                expected = before[-1].copy()
+                full = np.minimum(fitted_prev + s.cells(), -fitted_prev)
+                expected[zero] = full[zero]
+                np.testing.assert_array_equal(s.ztilde, expected)
+                np.testing.assert_array_equal(s.off_loss, np.log1p(s.ztilde**2 / s.two_b))
+                checked[0] += 1
+
+        run_inner(state, zeros=observed_zeros(data), fitted_prev=fitted_prev,
+                  on_step=on_step)
+        assert checked[0] > 0
+        pos = mask & (values > 0)
+        np.testing.assert_array_equal(state.ztilde[pos], (values - fitted_prev)[pos])
 
 
 class TestApplyTransform:

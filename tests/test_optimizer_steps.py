@@ -17,7 +17,7 @@ from conftest import (
     validated_objective,
 )
 from xfile import optimizer
-from xfile.latent import initial_latent
+from xfile.latent import initial_latent, observed_zeros
 from xfile.model import (
     ObservedMatrix,
     SideInfo,
@@ -175,8 +175,9 @@ class TestFlagSteps:
         np.testing.assert_array_equal(state.psi, (gain > 0).astype(float))
 
     def test_off_resets_loading(self, rng):
-        state = random_state(rng, n=5, p=5, hp=make_hp(zeta_n=0.01, zeta_p=0.01))
-        state.ztilde *= 0.0  # nothing to fit: all flags must drop, loadings reset
+        # nothing to fit: all flags must drop, loadings reset
+        state = random_state(rng, n=5, p=5, hp=make_hp(zeta_n=0.01, zeta_p=0.01),
+                             ztilde=np.zeros((5, 5)))
         step_psi(state)
         np.testing.assert_array_equal(state.psi, np.zeros(5))
         np.testing.assert_array_equal(state.u, np.zeros(5))
@@ -280,10 +281,9 @@ class TestExactObjective:
         data = ObservedMatrix(values, np.ones((n, p), bool), Transform.NONNEG_TRUNCATION)
         fitted_prev = 0.5 * np.outer(rng.standard_normal(n), rng.standard_normal(p))
         state = random_state(rng, n=n, p=p, hp=make_hp(max_inner_iters=5), h=2,
-                             full_mask=True)
-        state.ztilde = initial_latent(data) - fitted_prev
-        start = state.ztilde
-        run_inner(state, data=data, fitted_prev=fitted_prev)
+                             full_mask=True, ztilde=initial_latent(data) - fitted_prev)
+        start = state.ztilde.copy()
+        run_inner(state, zeros=observed_zeros(data), fitted_prev=fitted_prev)
         assert not np.array_equal(state.ztilde, start)
         assert inner_logpost(state) == validated_objective(state)
         # a state built afresh from the same arrays takes the same flag and

@@ -5,6 +5,7 @@ temporaries into the workspace its :class:`InnerState` allocated when it was
 built.  These tests check that no step allocates an n x p array, that two
 states never share a buffer, and that the objective never overwrites a
 buffer the coefficient safeguard still needs for its gradient fallback.
+The latent refresh of truncated data writes only the observed zeros.
 """
 
 import copy
@@ -14,11 +15,14 @@ import numpy as np
 import pytest
 
 from conftest import make_hp, make_side, random_state, validated_objective
+from xfile.latent import initial_latent, observed_zeros
+from xfile.model import ObservedMatrix, Transform
 from xfile.optimizer import (
     GRADIENT_MAX_HALVINGS,
     GRADIENT_STEP_INIT,
     fit_contribution,
     inner_logpost,
+    run_inner,
     step_beta,
     step_eta,
     step_gamma,
@@ -51,6 +55,33 @@ def test_no_step_allocates_a_cell_array(full_mask):
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) < 1.0, peaks
+
+
+def test_latent_refresh_allocates_no_cell_array():
+    # One refresh of a truncated state, from the "eta" event to the
+    # "latent" event of run_inner, writes only the observed zeros.
+    n, p = 200, 150
+    rng = np.random.default_rng(5)
+    values = np.maximum(rng.standard_normal((n, p)) + 0.3, 0.0)
+    data = ObservedMatrix(values, np.ones((n, p), bool), Transform.NONNEG_TRUNCATION)
+    fitted_prev = 0.5 * np.outer(rng.standard_normal(n), rng.standard_normal(p))
+    state = random_state(rng, n=n, p=p, q_x=3, q_w=3, hp=make_hp(max_inner_iters=2), h=2,
+                         full_mask=True, ztilde=initial_latent(data) - fitted_prev)
+    peaks, base = [], [0]
+
+    def on_step(name, s):
+        if name == "eta":
+            tracemalloc.reset_peak()
+            base[0] = tracemalloc.get_traced_memory()[0]
+        elif name == "latent":
+            peaks.append((tracemalloc.get_traced_memory()[1] - base[0]) / (n * p * 8))
+
+    tracemalloc.start()
+    try:
+        run_inner(state, zeros=observed_zeros(data), fitted_prev=fitted_prev, on_step=on_step)
+    finally:
+        tracemalloc.stop()
+    assert peaks and max(peaks) < 1.0, peaks
 
 
 def test_restarts_never_hold_two_workspaces():
