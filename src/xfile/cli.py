@@ -75,13 +75,13 @@ def _cmd_prior(args) -> int:
 
 def _cmd_fit(args) -> int:
     transform = Transform.NONNEG_TRUNCATION if args.transform == "nonneg" else Transform.IDENTITY
+    hp = hyperparams_from_dict(_load_json(args.config))
+    if args.seed is not None:
+        hp = hp.with_seed(args.seed)
     data = load_matrix(args.data, has_header=args.header, transform=transform)
     n, p = data.shape
     print(f"loaded {n} x {p} matrix with {int(data.mask.sum())} observed cells")
     side = load_side_info(args.covariates, args.metacovariates, n, p, has_header=args.header)
-    hp = hyperparams_from_dict(_load_json(args.config))
-    if args.seed is not None:
-        hp = hp.with_seed(args.seed)
     result = fit(data, side, hp)
     out = Path(args.out_dir)
     save_model(out, result, side, transform, hp.eps_frelu)

@@ -21,6 +21,7 @@ the change-of-variables term ``-p*log(eta)``.
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from math import lgamma, log, pi as PI
+from numbers import Integral, Real
 import warnings
 
 import numpy as np
@@ -45,6 +46,15 @@ __all__ = [
 ]
 
 LOG_2PI = log(2.0 * PI)
+
+
+def _check_numbers(obj, counts: tuple, reals: tuple) -> None:
+    """Raises ValueError naming a non-integer count or non-numeric real (bools are neither)."""
+    for names, kind, what in ((counts, Integral, "an integer"), (reals, Real, "a number")):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 class Transform(str, Enum):
@@ -152,6 +162,10 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
+        _check_numbers(
+            self, ("max_factors", "max_inner_iters", "n_restarts", "seed"),
+            ("a_sigma", "b_sigma", "a_eta", "b_eta", "zeta_n", "zeta_p", "eps_frelu", "tol"),
+        )
         for name in ("a_sigma", "b_sigma", "a_eta", "b_eta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -320,26 +334,21 @@ def log_prior_contribution(
     side: SideInfo,
     hp: HyperParams,
     h: int,
-    include_activation: bool = True,
 ) -> float:
     """Log prior density of one contribution's parameters (factor index h).
 
     Sums unit-normal terms on the row loadings, Bernoulli masses on both
     flag vectors, normal terms on beta and gamma around (1 - eps, 0, ...),
     the N(0, eta^2) density of the scaled column loadings vstar = v * eta,
-    and the inverse-gamma density of eta^2.  With ``include_activation`` the
-    log prior activation mass of rho is added as well.
+    and the inverse-gamma density of eta^2, plus the log prior activation
+    mass of rho.
     """
-    if c.eta <= 0:
-        raise ValueError(f"eta must be > 0, got {c.eta}")
     total = _log_prior(
         c.u_tilde, c.psi_tilde, c.beta, c.v_tilde, c.phi_tilde, c.gamma, c.eta,
         beta_prior_mean(side.q_x, hp.eps_frelu), beta_prior_mean(side.q_w, hp.eps_frelu), hp,
     )
-    if include_activation:
-        q_h = prob_active(h, hp.shrink)
-        total += log(q_h) if c.rho == 1 else log(1.0 - q_h)
-    return total
+    q_h = prob_active(h, hp.shrink)
+    return total + (log(q_h) if c.rho == 1 else log(1.0 - q_h))
 
 
 def _log_prior(u, psi, beta, v, phi, gamma, eta: float, mu_b, mu_g, hp: HyperParams) -> float:
@@ -354,30 +363,6 @@ def _log_prior(u, psi, beta, v, phi, gamma, eta: float, mu_b, mu_g, hp: HyperPar
         + _log_normal_quad(beta, mu_b, 1.0)
         + _log_normal_quad(gamma, mu_g, 1.0)
         + _log_invgamma(eta2, hp.a_eta, hp.b_eta)
-    )
-
-
-def prior_mode_contribution(side: SideInfo, hp: HyperParams) -> FactorContribution:
-    """Switched-off contribution (rho = 0) maximizing the prior density.
-
-    Loadings and coefficient offsets sit at zero, flags at their Bernoulli
-    mode.  The scale sits at the joint mode of (vstar, eta^2) with vstar = 0,
-    eta^2 = b_eta / (a_eta + p/2 + 1) - the fixed point the scale update
-    reaches on an all-zero candidate, so a degenerate fit can never beat
-    this reference.
-    """
-    n, p = side.x.shape[0], side.w.shape[0]
-    flags_n = 1.0 if hp.zeta_n >= 0.5 else 0.0
-    flags_p = 1.0 if hp.zeta_p >= 0.5 else 0.0
-    return FactorContribution(
-        u_tilde=np.zeros(n),
-        psi_tilde=np.full(n, flags_n),
-        beta=beta_prior_mean(side.q_x, hp.eps_frelu),
-        v_tilde=np.zeros(p),
-        phi_tilde=np.full(p, flags_p),
-        gamma=beta_prior_mean(side.q_w, hp.eps_frelu),
-        eta=float(np.sqrt(hp.b_eta / (hp.a_eta + 0.5 * p + 1.0))),
-        rho=0,
     )
 
 

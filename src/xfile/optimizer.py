@@ -52,7 +52,6 @@ from .model import (
     frelu,
     log_prior_contribution,
     materialize,
-    prior_mode_contribution,
 )
 from .shrinkage import ShrinkageParams, prob_active
 
@@ -542,7 +541,6 @@ class InnerFit:
     """Winning restart of one factor's inner optimization."""
 
     candidate: FactorContribution
-    logpost: float
     trace: list
     z_tilde: np.ndarray
 
@@ -562,8 +560,8 @@ def fit_contribution(
 
     ``residual`` is the latent matrix minus the previously accepted factors.
     Returns the restart with the highest converged objective (ties keep the
-    earliest restart); ``logpost`` is the candidate-block objective, i.e.
-    the masked data loss plus this candidate's log prior.
+    earliest restart); the last entry of its ``trace`` is the candidate-block
+    objective, i.e. the masked data loss plus this candidate's log prior.
     """
     if mask is None:
         mask = np.ones_like(residual, dtype=bool)
@@ -574,10 +572,9 @@ def fit_contribution(
         sub_rng = np.random.default_rng(child)
         state = _draw_initial_state(residual.copy(), mask, side, hp, h, sub_rng)
         trace = run_inner(state, zeros=zeros, fitted_prev=fitted_prev, on_step=on_step)
-        if best is None or trace[-1] > best.logpost:
+        if best is None or trace[-1] > best.trace[-1]:
             best = InnerFit(
                 candidate=state.candidate(rho=1),
-                logpost=trace[-1],
                 trace=trace,
                 z_tilde=state.ztilde,
             )
@@ -595,8 +592,9 @@ def stopping_decision(
     log Pr(inactive) + logpost_inactive.
 
     Both log-posteriors must share the data and normalization convention and
-    exclude the activation prior mass itself; the inactive value is computed
-    with the candidate's parameters at their prior modes.
+    exclude the activation prior mass itself.  The inactive value scores the
+    residual with the candidate switched off plus the prior of its
+    parameters at their prior modes, which is the same for every h.
     """
     q = prob_active(h, shrink)
     return log(q) + logpost_active > log(1.0 - q) + logpost_inactive
@@ -610,11 +608,13 @@ def fit(
 ) -> FitResult:
     """Forward stage-wise fit: adds factors until one is rejected.
 
-    Each accepted contribution is sign-normalized so its column loadings sum
-    to a nonnegative value (the materialized model is invariant).  For
-    truncated data the latent values at observed zeros are carried across
-    factors.  ``inner_callback(h, step_name, state, fitted_prev)`` is
-    invoked after every inner step when provided (diagnostics hook).
+    Factor h is kept when it beats the empty alternative, the residual with
+    the candidate switched off (:func:`stopping_decision`).  Each accepted
+    contribution is sign-normalized so its column loadings sum to a
+    nonnegative value (the materialized model is invariant).  For truncated
+    data the latent values at observed zeros are carried across factors.
+    ``inner_callback(h, step_name, state, fitted_prev)`` is invoked after
+    every inner step when provided (diagnostics hook).
     """
     n, p = data.shape
     if side.x.shape[0] != n or side.w.shape[0] != p:
@@ -628,38 +628,45 @@ def fit(
     trace_vals: list[float] = []
     trace_fids: list[int] = []
     prior_prev = 0.0
-    truncated = data.transform == Transform.NONNEG_TRUNCATION
     zeros = observed_zeros(data)
     root = np.random.default_rng(np.random.SeedSequence(hp.seed))
+    # Prior of the empty alternative, the same for every h: loadings and
+    # coefficient offsets at zero, flags at their Bernoulli mode, and eta^2 =
+    # b_eta / (a_eta + p/2 + 1), the fixed point of the scale step on an
+    # all-zero candidate, so a degenerate fit can never beat this reference.
+    mu_b = beta_prior_mean(side.q_x, hp.eps_frelu)
+    mu_g = beta_prior_mean(side.q_w, hp.eps_frelu)
+    prior0 = _log_prior(
+        np.zeros(n), np.full(n, 1.0 if hp.zeta_n >= 0.5 else 0.0), mu_b,
+        np.zeros(p), np.full(p, 1.0 if hp.zeta_p >= 0.5 else 0.0), mu_g,
+        sqrt(hp.b_eta / (hp.a_eta + 0.5 * p + 1.0)), mu_b, mu_g, hp,
+    )
 
     for h in range(1, hp.max_factors + 1):
         on_step = None
         if inner_callback is not None:
             def on_step(name, state, _h=h):
                 inner_callback(_h, name, state, fitted)
+        resid = latent - fitted
         best = fit_contribution(
-            latent - fitted,
+            resid,
             side,
             hp,
             h,
             root,
             mask=data.mask,
-            zeros=zeros if truncated else None,
+            zeros=zeros if data.transform == Transform.NONNEG_TRUNCATION else None,
             fitted_prev=fitted,
             on_step=on_step,
         )
         q = prob_active(h, hp.shrink)
-        l_active = best.logpost - log(q)
+        l_active = best.trace[-1] - log(q)
 
-        # Empty alternative: candidate at prior modes, switched off.
-        z0 = latent - fitted
-        if truncated:
-            z0.flat[zeros] = update_latent(np.take(fitted, zeros), np.zeros(zeros.size))
-        lik0 = float(np.sum(cell_marginal_loglik(z0[data.mask], hp.a_sigma, hp.b_sigma)))
-        mode0 = prior_mode_contribution(side, hp)
-        l_inactive = lik0 + log_prior_contribution(
-            mode0, side, hp, h, include_activation=False
-        )
+        # Empty alternative: the residual with the candidate switched off,
+        # its observed zeros refreshed for zero candidate cells.
+        resid.flat[zeros] = update_latent(np.take(fitted, zeros), np.zeros(zeros.size))
+        lik0 = float(np.sum(cell_marginal_loglik(resid[data.mask], hp.a_sigma, hp.b_sigma)))
+        l_inactive = lik0 + prior0
 
         if not stopping_decision(l_active, l_inactive, h, hp.shrink):
             break

@@ -163,7 +163,6 @@ def simulate_prior_ranks(
     H: int,
     n_draws: int,
     rng: np.random.Generator,
-    include_tail: bool = True,
 ) -> PriorRankSample:
     """Samples k = sum_h rho_h with rho_h ~ Bernoulli(1 - pi_h) given sticks.
 
@@ -172,9 +171,9 @@ def simulate_prior_ranks(
     delta = 0, where the remaining mass is exp(-sum_{m<=h} E_m / alpha).
     Activations beyond H are, conditionally on the remaining mass R_H, a
     thinned point process with expected count R_H * c(H) where c(H) =
-    activation_tail(H) / prob_active(H); with ``include_tail`` they are
-    drawn from the matching Poisson law, which keeps the mean of k exact
-    under truncation.  Emits a warning when the truncation leaves more than
+    activation_tail(H) / prob_active(H); when delta < 1/2 they are drawn
+    from the matching Poisson law, which keeps the mean of k exact under
+    truncation.  Emits a warning when the truncation leaves more than
     marginal activation mass uncovered.
     """
     if n_draws < 1:
@@ -186,11 +185,11 @@ def simulate_prior_ranks(
         warnings.warn(
             f"truncation H={H} may be insufficient: E[1 - pi_H] = {q_H:.3g} "
             f">= {TRUNCATION_WARN_LEVEL:g}"
-            + ("" if include_tail and params.delta < 0.5 else " and no tail correction applies"),
+            + ("" if params.delta < 0.5 else " and no tail correction applies"),
             RuntimeWarning,
         )
     tail_rate = 0.0
-    if include_tail and params.delta < 0.5 and q_H > 0.0:
+    if params.delta < 0.5 and q_H > 0.0:
         tail_rate = activation_tail(params, H) / q_H
 
     m = np.arange(1, H + 1, dtype=float)
@@ -230,7 +229,6 @@ def simulate_rank_pmf(
     H: int | None,
     n_draws: int,
     rng: np.random.Generator,
-    include_tail: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical pmf of the number of active factors.
 
@@ -239,11 +237,10 @@ def simulate_rank_pmf(
         H: truncation level; ``None`` selects :func:`default_truncation`.
         n_draws: number of Monte Carlo draws.
         rng: numpy random generator.
-        include_tail: add the Poisson tail correction beyond H.
 
     Returns:
         (values of k, estimated probabilities).
     """
     if H is None:
         H = default_truncation(params)
-    return simulate_prior_ranks(params, H, n_draws, rng, include_tail=include_tail).pmf()
+    return simulate_prior_ranks(params, H, n_draws, rng).pmf()

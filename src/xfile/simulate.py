@@ -25,7 +25,8 @@ from itertools import product
 
 import numpy as np
 
-from .model import HyperParams, ObservedMatrix, SideInfo, Transform, frelu, hyperparams_to_dict
+from .model import (HyperParams, ObservedMatrix, SideInfo, Transform, _check_numbers, frelu,
+                    hyperparams_to_dict)
 from .optimizer import fit, predict_matrix
 
 __all__ = [
@@ -45,6 +46,8 @@ DGP_ADDITIVE = "additive"
 DGP_MULTIPLICATIVE = "multiplicative"
 
 LOADING_NOISE_SD = 0.5  # additive loadings have variance 0.25 around the score
+BASELINE_TOL = 1e-9
+BASELINE_MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_numbers(self, ("n", "p", "k_true", "q_x", "q_w", "n_replicates", "seed"),
+                       ("holdout_fraction", "sparsity_fraction", "noise_sd"))
         if min(self.n, self.p, self.k_true, self.q_x, self.q_w, self.n_replicates) < 1:
             raise ValueError("n, p, k_true, q_x, q_w and n_replicates must be >= 1")
         if self.dgp not in (DGP_ADDITIVE, DGP_MULTIPLICATIVE):
@@ -148,14 +153,13 @@ def rmse(predictions: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean((predictions - truth) ** 2)))
 
 
-def fit_baseline(
-    data: ObservedMatrix, tol: float = 1e-9, max_iters: int = 10_000
-) -> tuple[np.ndarray, np.ndarray]:
+def fit_baseline(data: ObservedMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares row and column effects y_ij ~ b_u[i] + b_v[j].
 
     Alternates row/column mean updates over observed cells until the largest
-    effect change is below ``tol``, under the identifiability constraint
-    mean(b_v) = 0.  Rows or columns with no observed cells keep effect 0.
+    effect change is below ``BASELINE_TOL``, under the identifiability
+    constraint mean(b_v) = 0.  Rows or columns with no observed cells keep
+    effect 0.
     """
     values = np.where(data.mask, data.values, 0.0)
     mask = data.mask
@@ -165,7 +169,7 @@ def fit_baseline(
     col_ok = col_cnt > 0
     b_u = np.zeros(data.shape[0])
     b_v = np.zeros(data.shape[1])
-    for _ in range(max_iters):
+    for _ in range(BASELINE_MAX_ITERS):
         b_u_new = np.where(
             row_ok,
             (values - mask * b_v[None, :]).sum(axis=1) / np.maximum(row_cnt, 1),
@@ -181,7 +185,7 @@ def fit_baseline(
         b_u_new = np.where(row_ok, b_u_new + shift, 0.0)
         delta = max(np.abs(b_u_new - b_u).max(), np.abs(b_v_new - b_v).max())
         b_u, b_v = b_u_new, b_v_new
-        if delta < tol:
+        if delta < BASELINE_TOL:
             break
     return b_u, b_v
 
@@ -318,10 +322,16 @@ def run_grid_search(
 ) -> tuple[HyperParams, list[dict]]:
     """Selects (alpha, b_sigma, b_eta) by validation RMSE on one extra replicate.
 
-    ``grid`` maps any of "alpha", "b_sigma", "b_eta" to candidate lists;
-    missing keys keep the incumbent value.  The validation replicate uses a
-    seed stream disjoint from the experiment replicates.
+    ``grid`` maps any of "alpha", "b_sigma", "b_eta" to non-empty candidate
+    lists, or raises ValueError before fitting; missing keys keep the
+    incumbent value.  The validation replicate uses a seed stream disjoint
+    from the experiment replicates.
     """
+    for key, values in grid.items():
+        if key not in ("alpha", "b_sigma", "b_eta"):
+            raise ValueError(f"unknown grid key {key!r}")
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"grid {key!r} must be a non-empty list, got {values!r}")
     alphas = grid.get("alpha", [hp.shrink.alpha])
     b_sigmas = grid.get("b_sigma", [hp.b_sigma])
     b_etas = grid.get("b_eta", [hp.b_eta])

@@ -16,14 +16,25 @@ which should only ever be done by a change that means to alter results.
 """
 
 import json
+from math import log, sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xfile.model import HyperParams, ObservedMatrix, SideInfo, Transform
+from xfile import optimizer
+from xfile.model import (
+    FactorContribution,
+    HyperParams,
+    ObservedMatrix,
+    SideInfo,
+    Transform,
+    cell_marginal_loglik,
+    log_prior_contribution,
+    materialize,
+)
 from xfile.optimizer import fit
-from xfile.shrinkage import ShrinkageParams
+from xfile.shrinkage import ShrinkageParams, prob_active
 
 GOLDEN = Path(__file__).parent / "data" / "golden_traces.json"
 CASES = ("identity-holdout", "truncated", "identity-full", "truncated-holdout")
@@ -79,3 +90,39 @@ def test_fit_matches_golden_trace(name):
     assert result.rank == expected["rank"]
     np.testing.assert_allclose(result.logpost_trace, expected["logpost_trace"],
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["identity-holdout", "truncated-holdout"])
+def test_empty_alternative(name, monkeypatch):
+    """Every stopping decision scores the empty alternative as the masked loss
+    of the accepted factors' residual plus the prior of a switched-off
+    contribution at its prior modes, activation mass excluded."""
+    data, side, hp = build_case(name)
+    decisions = []
+    stop = optimizer.stopping_decision
+
+    def spy(l_active, l_inactive, h, shrink):
+        decisions.append((h, l_inactive))
+        return stop(l_active, l_inactive, h, shrink)
+
+    monkeypatch.setattr(optimizer, "stopping_decision", spy)
+    result = fit(data, side, hp)
+    assert [h for h, _ in decisions] == list(range(1, min(result.rank + 1, hp.max_factors) + 1))
+
+    n, p = data.shape
+    mode = FactorContribution(
+        u_tilde=np.zeros(n), psi_tilde=np.full(n, float(hp.zeta_n >= 0.5)),
+        beta=np.r_[1.0 - hp.eps_frelu, np.zeros(side.q_x - 1)],
+        v_tilde=np.zeros(p), phi_tilde=np.full(p, float(hp.zeta_p >= 0.5)),
+        gamma=np.r_[1.0 - hp.eps_frelu, np.zeros(side.q_w - 1)],
+        eta=sqrt(hp.b_eta / (hp.a_eta + 0.5 * p + 1.0)), rho=0,
+    )
+    for h, l_inactive in decisions:
+        fitted = materialize(result.contributions[: h - 1], side, hp.eps_frelu)
+        resid = data.values - fitted
+        if data.transform == Transform.NONNEG_TRUNCATION:
+            # today's refresh of a zero candidate at the observed zeros
+            resid = np.where(data.values == 0, np.minimum(fitted, -fitted), resid)
+        lik = np.sum(cell_marginal_loglik(resid[data.mask], hp.a_sigma, hp.b_sigma))
+        prior = log_prior_contribution(mode, side, hp, h) - log(1.0 - prob_active(h, hp.shrink))
+        assert l_inactive == pytest.approx(lik + prior, rel=1e-12)

@@ -388,6 +388,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "JSON object" in err
 
+    @pytest.mark.parametrize("config", [{"max_factors": 2.5}, {"tol": "1e-8"},
+                                        {"n_restarts": 1.5}, {"seed": True}])
+    def test_fit_malformed_hyperparams(self, tmp_path, capsys, config):
+        data_path = tmp_path / "d.csv"
+        save_matrix(data_path, np.ones((4, 3)))
+        cfg = tmp_path / "hp.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["fit", "--data", str(data_path), "--config", str(cfg),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(config)) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,config", [
+        ("--scenario", {"n": "12"}), ("--scenario", {"n_replicates": 1.5}),
+        ("--scenario", {"noise_sd": "1"}), ("--config", {"max_inner_iters": True}),
+    ])
+    def test_simulate_malformed_inputs(self, tmp_path, capsys, flag, config):
+        paths = {}
+        for key, raw in (("--scenario", {"n": 12, "p": 12, "n_replicates": 1}),
+                         ("--config", {"max_inner_iters": 5, "n_restarts": 1})):
+            paths[key] = tmp_path / f"{key[2:]}.json"
+            paths[key].write_text(json.dumps({**raw, **(config if key == flag else {})}))
+        out = tmp_path / "run" / "report.csv"
+        assert main(["simulate", "--scenario", str(paths["--scenario"]),
+                     "--config", str(paths["--config"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(config)) in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("grid", [{"alhpa": [1.0, 2.0]}, {"alpha": []}, {"alpha": 5}])
+    def test_simulate_bad_grid(self, tmp_path, capsys, grid):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"n": 12, "p": 10, "k_true": 2, "q_x": 2, "q_w": 2,
+                                        "n_replicates": 1, "seed": 4}))
+        cfg = tmp_path / "hp.json"
+        cfg.write_text(json.dumps({"n_restarts": 1, "max_inner_iters": 5, "max_factors": 2}))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "run" / "report.csv"
+        assert main(["simulate", "--scenario", str(scenario), "--config", str(cfg),
+                     "--grid", str(grid_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.parent.exists()
+
     def test_missing_file_is_clean_error(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "absent.csv"),
                      "--out-dir", str(tmp_path / "o")]) == 1

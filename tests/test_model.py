@@ -1,5 +1,6 @@
 """Data model, densities, and similarity exports."""
 
+from dataclasses import replace
 from math import log, pi, sqrt
 
 import numpy as np
@@ -144,10 +145,12 @@ class TestLogPrior:
     def test_activation_split(self, rng):
         hp = make_hp()
         side = make_side(5, 5, 2, 2, rng)
-        c = random_contribution(5, 5, 2, 2, rng)
-        with_act = log_prior_contribution(c, side, hp, 3, include_activation=True)
-        without = log_prior_contribution(c, side, hp, 3, include_activation=False)
-        assert with_act - without == pytest.approx(log(prob_active(3, hp.shrink)))
+        on = random_contribution(5, 5, 2, 2, rng, rho=1)
+        off = replace(on, rho=0)
+        q = prob_active(3, hp.shrink)
+        assert log_prior_contribution(on, side, hp, 3) - log_prior_contribution(
+            off, side, hp, 3
+        ) == pytest.approx(log(q) - log(1.0 - q))
 
 
 class TestMaterialize:

@@ -138,13 +138,3 @@ class TestSimulation:
         rng = np.random.default_rng(9)
         with pytest.warns(RuntimeWarning, match="truncation"):
             simulate_prior_ranks(ShrinkageParams(5.0, 0.0), 5, 100, rng)
-
-    def test_no_tail_correction_biases_low(self):
-        # dropping the tail at a coarse truncation must undershoot the mean
-        rng = np.random.default_rng(31)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            sample = simulate_prior_ranks(ShrinkageParams(3.6, 0.4), 100, 20_000, rng,
-                                          include_tail=False)
-        assert sample.mean < expected_rank(ShrinkageParams(3.6, 0.4)) - 1.0
