@@ -1,10 +1,12 @@
 """CSV ingestion, model persistence, and analysis exports.
 
 Matrix CSV format: comma-separated reals, optional header row, empty field =
-missing cell.  Side-information CSVs must not include the intercept column;
-it is prepended on load.  A fitted model is persisted as one CSV per
-parameter family plus a versioned manifest ("xfile-model/1"), so it stays
-inspectable and diff-able.
+missing cell.  :func:`save_matrix` is the one writer of that format, for
+inputs, model files, fitted values and exports alike: ``%.17g`` cells, one
+LF-terminated line per row.  Side-information CSVs must not include the
+intercept column; it is prepended on load.  A fitted model is persisted as
+one CSV per parameter family plus a versioned manifest ("xfile-model/1"), so
+it stays inspectable and diff-able.
 """
 
 import csv
@@ -87,18 +89,19 @@ def load_matrix(path, has_header: bool = False,
 
 
 def save_matrix(path, values: np.ndarray, mask: np.ndarray | None = None) -> None:
-    """Writes a matrix CSV; masked-out cells are written as empty fields."""
+    """Writes a 2-d matrix CSV, one ``%`` operation per row as ``np.savetxt`` does;
+    masked-out cells are empty fields, and a row that is one empty field is
+    written ``""`` (a blank line would read back as a row of no fields)."""
     values = np.asarray(values, dtype=float)
+    mask = None if mask is None else np.asarray(mask, dtype=bool)
+    row_fmt = ",".join([FLOAT_FMT] * values.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(values.shape[0]):
-            row = []
-            for j in range(values.shape[1]):
-                if mask is not None and not mask[i, j]:
-                    row.append("")
-                else:
-                    row.append(FLOAT_FMT % values[i, j])
-            writer.writerow(row)
+        for i, row in enumerate(values):
+            if mask is None or mask[i].all():
+                fh.write(row_fmt % tuple(row.tolist()))
+            else:
+                fmt = ",".join([FLOAT_FMT if keep else "" for keep in mask[i].tolist()])
+                fh.write((fmt % tuple(row[mask[i]].tolist()) or '""') + "\n")
 
 
 def load_side_info(x_path, w_path, n: int, p: int, has_header: bool = False) -> SideInfo:
@@ -125,10 +128,6 @@ def load_side_info(x_path, w_path, n: int, p: int, has_header: bool = False) -> 
 # ---------------------------------------------------------------------------
 # Model persistence
 # ---------------------------------------------------------------------------
-
-def _write_array(path, arr: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(arr), delimiter=",", fmt=FLOAT_FMT)
-
 
 def _family_sizes(side: SideInfo) -> tuple:
     """Length of each family's vector, in :data:`FAMILIES` order."""
@@ -157,11 +156,11 @@ def save_model(out_dir, result: FitResult, side: SideInfo, transform: Transform,
     for name, size in zip(FAMILIES, _family_sizes(side)):
         # size x k, column h from contribution h
         columns = np.array([getattr(c, name) for c in cs]).reshape(k, size).T
-        _write_array(out / f"{name}.csv", columns)
-    _write_array(out / "theta.csv", np.array([[c.eta, c.rho] for c in cs]).reshape(k, 2))
-    _write_array(out / "x.csv", side.x)
-    _write_array(out / "w.csv", side.w)
-    _write_array(out / "latent_residual.csv", result.latent_residual)
+        save_matrix(out / f"{name}.csv", columns)
+    save_matrix(out / "theta.csv", np.array([[c.eta, c.rho] for c in cs]).reshape(k, 2))
+    save_matrix(out / "x.csv", side.x)
+    save_matrix(out / "w.csv", side.w)
+    save_matrix(out / "latent_residual.csv", result.latent_residual)
 
 
 def load_model(model_dir) -> tuple[FitResult, SideInfo, Transform, float]:
@@ -204,7 +203,7 @@ def write_fit_outputs(out_dir, result: FitResult, side: SideInfo, transform: Tra
     (out / "rank.txt").write_text(f"{result.rank}\n")
 
     with open(out / "contributions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["eta", "rho"] + [
             f"{name}_{i}" for name, size in zip(FAMILIES, _family_sizes(side)) for i in range(size)
         ])
@@ -215,7 +214,7 @@ def write_fit_outputs(out_dir, result: FitResult, side: SideInfo, transform: Tra
             writer.writerow(row)
 
     with open(out / "logpost_trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["factor", "inner_iteration", "logpost"])
         counts: dict[int, int] = {}
         for fid, val in zip(result.trace_factors, result.logpost_trace):
@@ -285,11 +284,11 @@ def export_analysis(
         (out / "similarity.csv").write_text("")
         return
     archetypes = np.column_stack([c.phi_tilde * c.v_tilde for c in result.contributions])
-    _write_array(out / "archetypes.csv", archetypes)
+    save_matrix(out / "archetypes.csv", archetypes)
     signs = np.sign(loading_matrix(result, side, eps_frelu))
-    _write_array(out / "loading_signs.csv", signs)
-    _write_array(out / "similarity.csv",
-                 similarity_matrix(result, side, eps_frelu, squared_scale))
+    save_matrix(out / "loading_signs.csv", signs)
+    save_matrix(out / "similarity.csv",
+                similarity_matrix(result, side, eps_frelu, squared_scale))
     if grid_rows is None:
         warnings.warn("no grid shape given: skipping PGM archetype maps", RuntimeWarning)
         return

@@ -21,12 +21,11 @@ the change-of-variables term ``-p*log(eta)``.
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from math import lgamma, log, pi as PI
-from numbers import Integral, Real
 import warnings
 
 import numpy as np
 
-from .shrinkage import ShrinkageParams, prob_active
+from .shrinkage import ShrinkageParams, _check_numbers, prob_active
 
 __all__ = [
     "Transform",
@@ -46,15 +45,6 @@ __all__ = [
 ]
 
 LOG_2PI = log(2.0 * PI)
-
-
-def _check_numbers(obj, counts: tuple, reals: tuple) -> None:
-    """Raises ValueError naming a non-integer count or non-numeric real (bools are neither)."""
-    for names, kind, what in ((counts, Integral, "an integer"), (reals, Real, "a number")):
-        for name in names:
-            value = getattr(obj, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 class Transform(str, Enum):
@@ -194,10 +184,7 @@ def hyperparams_from_dict(raw: dict) -> HyperParams:
     """HyperParams from the flat JSON form, where 'alpha'/'delta' stand for
     the shrinkage pair."""
     raw = dict(raw)
-    shrink = ShrinkageParams(
-        alpha=float(raw.pop("alpha", 5.0)),
-        delta=float(raw.pop("delta", 0.0)),
-    )
+    shrink = ShrinkageParams(alpha=raw.pop("alpha", 5.0), delta=raw.pop("delta", 0.0))
     unknown = set(raw) - {f.name for f in fields(HyperParams) if f.name != "shrink"}
     if unknown:
         raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")

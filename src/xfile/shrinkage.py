@@ -15,6 +15,7 @@ of the induced distribution of k = sum_h rho_h.
 
 from dataclasses import dataclass
 from math import lgamma, log, exp, inf
+from numbers import Integral, Real
 import warnings
 
 import numpy as np
@@ -35,6 +36,15 @@ TAIL_MASS_TARGET = 1e-4
 TRUNCATION_WARN_LEVEL = 1e-6
 
 
+def _check_numbers(obj, counts: tuple, reals: tuple) -> None:
+    """Raises ValueError naming a non-integer count or non-numeric real (bools are neither)."""
+    for names, kind, what in ((counts, Integral, "an integer"), (reals, Real, "a number")):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ShrinkageParams:
     """Concentration/discount pair of the stick-breaking construction.
@@ -46,6 +56,7 @@ class ShrinkageParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self, (), ("alpha", "delta"))
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
         if not self.alpha > -self.delta:

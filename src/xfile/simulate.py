@@ -22,12 +22,14 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import product
+from numbers import Real
 
 import numpy as np
 
-from .model import (HyperParams, ObservedMatrix, SideInfo, Transform, _check_numbers, frelu,
+from .model import (HyperParams, ObservedMatrix, SideInfo, Transform, frelu,
                     hyperparams_to_dict)
 from .optimizer import fit, predict_matrix
+from .shrinkage import _check_numbers
 
 __all__ = [
     "ScenarioSpec",
@@ -230,7 +232,7 @@ class ExperimentReport:
         buf = io.StringIO()
         for line in self.header_lines():
             buf.write(line + "\n")
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["replicate", "model", "rmse", "rank_selected", "wall_time_ms"])
         for r in self.records:
             writer.writerow([r.replicate, r.model, f"{r.rmse:.17g}",
@@ -322,8 +324,8 @@ def run_grid_search(
 ) -> tuple[HyperParams, list[dict]]:
     """Selects (alpha, b_sigma, b_eta) by validation RMSE on one extra replicate.
 
-    ``grid`` maps any of "alpha", "b_sigma", "b_eta" to non-empty candidate
-    lists, or raises ValueError before fitting; missing keys keep the
+    ``grid`` maps any of "alpha", "b_sigma", "b_eta" to non-empty lists of
+    numbers, or raises ValueError before fitting; missing keys keep the
     incumbent value.  The validation replicate uses a seed stream disjoint
     from the experiment replicates.
     """
@@ -332,6 +334,9 @@ def run_grid_search(
             raise ValueError(f"unknown grid key {key!r}")
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"grid {key!r} must be a non-empty list, got {values!r}")
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"grid {key!r} candidates must be numbers, got {value!r}")
     alphas = grid.get("alpha", [hp.shrink.alpha])
     b_sigmas = grid.get("b_sigma", [hp.b_sigma])
     b_etas = grid.get("b_eta", [hp.b_eta])

@@ -1,5 +1,6 @@
 """CSV ingestion, model persistence, exports, and the CLI pipeline."""
 
+import io
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from xfile.io import (
 )
 from xfile.model import (
     ObservedMatrix,
+    SideInfo,
     Transform,
     hyperparams_from_dict,
     materialize,
@@ -74,6 +76,48 @@ class TestLoadMatrix:
         np.testing.assert_array_equal(side.x[:, 0], np.ones(4))
         np.testing.assert_array_equal(side.x[:, 1:], x)
         assert side.w.shape == (6, 1)
+
+
+def _savetxt(values) -> bytes:
+    """What ``np.savetxt`` writes for ``values`` in the matrix CSV format."""
+    buf = io.StringIO()
+    np.savetxt(buf, values, fmt="%.17g", delimiter=",")
+    return buf.getvalue().encode()
+
+
+class TestMatrixFormat:
+    def test_exact_text(self, tmp_path):
+        values = np.array([[-0.0, np.nan, np.inf, 1e300, 5e-324, 0.1]])
+        save_matrix(tmp_path / "row.csv", values)
+        save_matrix(tmp_path / "col.csv", values.T)
+        row = (b"-0,nan,inf,1.0000000000000001e+300,4.9406564584124654e-324,"
+               b"0.10000000000000001\n")
+        assert (tmp_path / "row.csv").read_bytes() == row == _savetxt(values)
+        assert (tmp_path / "col.csv").read_bytes() == row.replace(b",", b"\n")
+        assert (tmp_path / "col.csv").read_bytes() == _savetxt(values.T)
+
+    def test_one_column_missing_cell_roundtrips(self, tmp_path):
+        path = tmp_path / "m.csv"
+        mask = np.array([[True], [False], [True]])
+        save_matrix(path, np.array([[1.5], [np.nan], [-2.0]]), mask)
+        assert path.read_bytes() == b'1.5\n""\n-2\n'
+        back = load_matrix(path)
+        np.testing.assert_array_equal(back.mask, mask)
+        np.testing.assert_array_equal(back.values[mask], [1.5, -2.0])
+
+    def test_rank_zero_model_bytes(self, tmp_path):
+        n, p = 7, 5
+        side = SideInfo(x=np.column_stack([np.ones(n), np.arange(n) / 3.0]),
+                        w=np.column_stack([np.ones(p), np.linspace(-1.0, 1.0, p), np.ones(p) / 7]))
+        residual = np.arange(n * p).reshape(n, p) / 9.0 - 1.5
+        save_model(tmp_path, fit_result([], residual), side, Transform.IDENTITY, 0.0)
+        sizes = {"u_tilde": n, "psi_tilde": n, "beta": 2, "v_tilde": p, "phi_tilde": p,
+                 "gamma": 3}
+        for name, size in sizes.items():
+            assert (tmp_path / f"{name}.csv").read_bytes() == b"\n" * size, name
+        assert (tmp_path / "theta.csv").read_bytes() == b""
+        for name, values in (("x", side.x), ("w", side.w), ("latent_residual", residual)):
+            assert (tmp_path / f"{name}.csv").read_bytes() == _savetxt(values), name
 
 
 def _small_fit(rng, transform=Transform.IDENTITY):
@@ -389,7 +433,9 @@ class TestCli:
         assert err.startswith("error:") and "JSON object" in err
 
     @pytest.mark.parametrize("config", [{"max_factors": 2.5}, {"tol": "1e-8"},
-                                        {"n_restarts": 1.5}, {"seed": True}])
+                                        {"n_restarts": 1.5}, {"seed": True},
+                                        {"alpha": "5", "delta": False}, {"delta": False},
+                                        {"alpha": True}, {"alpha": "abc"}])
     def test_fit_malformed_hyperparams(self, tmp_path, capsys, config):
         data_path = tmp_path / "d.csv"
         save_matrix(data_path, np.ones((4, 3)))
@@ -433,6 +479,37 @@ class TestCli:
                      "--grid", str(grid_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.parent.exists()
+
+    def test_no_written_file_has_carriage_returns(self, tmp_path, rng, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        values = rng.standard_normal((9, 8)) + 2.0 * np.outer(
+            rng.standard_normal(9), rng.standard_normal(8)
+        )
+        mask = np.ones(values.shape, dtype=bool)
+        mask[4, 3] = False
+        save_matrix("d.csv", values, mask)
+        save_matrix("want.csv", (~mask).astype(float))
+        for out_dir in ("prior", "pred"):  # prior and predict need their --out directory
+            (tmp_path / out_dir).mkdir()
+        (tmp_path / "hp.json").write_text(json.dumps({"n_restarts": 1, "max_inner_iters": 20,
+                                                      "max_factors": 2}))
+        (tmp_path / "scenario.json").write_text(json.dumps({
+            "n": 12, "p": 12, "k_true": 2, "q_x": 2, "q_w": 2, "n_replicates": 1, "seed": 1}))
+        for args in (
+            ["prior", "--alpha", "5", "--draws", "200", "--out", "prior/pmf.csv"],
+            ["fit", "--data", "d.csv", "--config", "hp.json", "--seed", "2", "--out-dir", "run"],
+            ["predict", "--model", "run", "--mask", "want.csv", "--out", "pred/pred.csv"],
+            ["export", "--model", "run", "--out-dir", "exp", "--grid-rows", "2",
+             "--grid-cols", "4"],
+            ["simulate", "--scenario", "scenario.json", "--config", "hp.json",
+             "--out", "sim/report.csv"],
+        ):
+            assert main(args) == 0, args
+        written = [f for f in tmp_path.rglob("*") if f.is_file()]
+        assert len(written) > 20
+        for f in written:
+            if f.suffix != ".pgm":  # a binary raster may hold the byte 13
+                assert b"\r" not in f.read_bytes(), f
 
     def test_missing_file_is_clean_error(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "absent.csv"),

@@ -22,7 +22,8 @@ class TestParams:
         ShrinkageParams(alpha=5.0, delta=0.0)
         ShrinkageParams(alpha=-0.3, delta=0.4)
 
-    @pytest.mark.parametrize("alpha,delta", [(1.0, 1.0), (1.0, -0.1), (-0.5, 0.4), (0.0, 0.0)])
+    @pytest.mark.parametrize("alpha,delta", [(1.0, 1.0), (1.0, -0.1), (-0.5, 0.4), (0.0, 0.0),
+                                             ("5", 0.0), (True, 0.0), (5.0, False), (5.0, None)])
     def test_invalid(self, alpha, delta):
         with pytest.raises(ValueError):
             ShrinkageParams(alpha=alpha, delta=delta)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xfile import simulate
 from xfile.model import HyperParams
 from xfile.shrinkage import ShrinkageParams
 from xfile.simulate import (
@@ -246,3 +247,18 @@ class TestGridSearch:
         best_score = min(t["rmse"] for t in trials)
         chosen = [t for t in trials if t["rmse"] == best_score][0]
         assert best_hp.shrink.alpha == chosen["alpha"]
+
+    @pytest.mark.parametrize("grid", [{"alpha": [1.0, "x"]}, {"alpha": ["3"]},
+                                      {"b_sigma": [True]}])
+    def test_non_numeric_candidates_rejected_before_fitting(self, monkeypatch, grid):
+        calls = []
+        real_fit = simulate.fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "fit", counting_fit)
+        with pytest.raises(ValueError, match=next(iter(grid))):
+            run_grid_search(_spec(n=12, p=10, k_true=2, n_replicates=1), _fast_hp(), grid)
+        assert calls == []
