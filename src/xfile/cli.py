@@ -46,7 +46,10 @@ def _write_config(out_dir: Path, payload: dict) -> None:
 def _load_json(path):
     if path is None:
         return {}
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     return raw
@@ -60,8 +63,10 @@ def _cmd_prior(args) -> int:
     mean = expected_rank(params)
     lines = ["k,probability"] + [f"{k},{p:.17g}" for k, p in zip(ks, probs)]
     if args.out is not None:
-        Path(args.out).write_text("\n".join(lines) + "\n")
-        _write_config(Path(args.out).resolve().parent, {
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text("\n".join(lines) + "\n")
+        _write_config(out.resolve().parent, {
             "command": "prior", "alpha": args.alpha, "delta": args.delta,
             "draws": args.draws, "trunc": trunc, "seed": args.seed,
             "out": str(args.out),
@@ -74,7 +79,7 @@ def _cmd_prior(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    transform = Transform.NONNEG_TRUNCATION if args.transform == "nonneg" else Transform.IDENTITY
+    transform = Transform(args.transform)
     hp = hyperparams_from_dict(_load_json(args.config))
     if args.seed is not None:
         hp = hp.with_seed(args.seed)
@@ -107,6 +112,7 @@ def _cmd_predict(args) -> int:
         raise ValueError(f"mask shape {request.shape} does not match model shape {pred.shape}")
     wanted = request.mask & (request.values != 0)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         fh.write("row,col,prediction\n")
         for i, j in np.argwhere(wanted):
@@ -223,7 +229,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .latent import apply_transform
 from .model import (
     FactorContribution,
     FitResult,
@@ -225,7 +226,7 @@ def write_fit_outputs(out_dir, result: FitResult, side: SideInfo, transform: Tra
     latent_fit = materialize(result.contributions, side, eps_frelu)
     if transform == Transform.NONNEG_TRUNCATION:
         save_matrix(out / "fitted_latent.csv", latent_fit)
-        save_matrix(out / "fitted_observed.csv", np.maximum(latent_fit, 0.0))
+        save_matrix(out / "fitted_observed.csv", apply_transform(latent_fit, transform))
     else:
         save_matrix(out / "fitted.csv", latent_fit)
 

@@ -111,8 +111,7 @@ class InnerState:
     holds its tangent residual) and, when some cells are unobserved,
     gathers the observed ones into ``_observed`` (their flat indices and a
     buffer of that length).  :meth:`cells` without ``out`` returns a fresh
-    array.  ``logpost`` is set by :func:`run_inner` and by the coefficient
-    steps.
+    array.
     """
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
@@ -342,7 +341,7 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     most 20 times; if no candidate keeps the objective from decreasing the
     coefficients stay put.  The objective is evaluated once before the step
     and once per trial point; putting the coefficients back only refreshes
-    the links, and the objective is then the value from before the step.
+    the links.
     """
     hp = state.hp
     on_axis = (s.design @ s.coef) > 0.0
@@ -380,8 +379,6 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
         else:
             setattr(state, s.names[2], s.coef)
             state.refresh_links()
-            j = j_before
-    state.logpost = j
     return state
 
 
@@ -459,7 +456,7 @@ def run_inner(
     state: InnerState,
     zeros: np.ndarray | None = None,
     fitted_prev: np.ndarray | None = None,
-    on_step=None,
+    inner_callback=None,
 ) -> list[float]:
     """Cycles the coordinate steps until the relative objective change drops
     below ``hp.tol`` or ``hp.max_inner_iters`` is reached.
@@ -474,6 +471,8 @@ def run_inner(
 
     Truncated data passes the flat indices of its observed ``zeros``
     (:func:`latent.observed_zeros`) and the accepted factors' ``fitted_prev``.
+    ``inner_callback(state.h, step_name, state, fitted_prev)``, when given,
+    is called after every step and after every latent refresh.
     """
     hp = state.hp
     if zeros is not None:  # buffers of the latent refresh: only the zeros can change
@@ -486,8 +485,8 @@ def run_inner(
     for _ in range(hp.max_inner_iters + WARMUP_MAX_ITERS):
         for name, fn in _WARMUP_STEPS if warmup_left else _STEPS:
             fn(state)
-            if on_step is not None:
-                on_step(name, state)
+            if inner_callback is not None:
+                inner_callback(state.h, name, state, fitted_prev)
         if zeros is not None:
             a, b = state.factors()  # the cells at the zeros as cells() forms them
             np.take(a, rows, mode="clip", out=cells)
@@ -496,8 +495,8 @@ def run_inner(
             update_latent(prev, cells, out=z)
             np.put(state.ztilde, zeros, z)
             np.put(state.off_loss, zeros, _log1p_sq(z, state.two_b, out=cells))
-            if on_step is not None:
-                on_step("latent", state)
+            if inner_callback is not None:
+                inner_callback(state.h, "latent", state, fitted_prev)
         j = inner_logpost(state)
         trace.append(j)
         change, scale = abs(j - j_prev), max(1.0, abs(j_prev))
@@ -506,7 +505,6 @@ def run_inner(
         elif change <= hp.tol * scale:
             break
         j_prev = j
-    state.logpost = trace[-1]
     return trace
 
 
@@ -554,7 +552,7 @@ def fit_contribution(
     mask: np.ndarray | None = None,
     zeros: np.ndarray | None = None,
     fitted_prev: np.ndarray | None = None,
-    on_step=None,
+    inner_callback=None,
 ) -> InnerFit:
     """Optimizes one candidate factor from ``n_restarts`` prior draws.
 
@@ -571,7 +569,7 @@ def fit_contribution(
     for child in rng.spawn(hp.n_restarts):
         sub_rng = np.random.default_rng(child)
         state = _draw_initial_state(residual.copy(), mask, side, hp, h, sub_rng)
-        trace = run_inner(state, zeros=zeros, fitted_prev=fitted_prev, on_step=on_step)
+        trace = run_inner(state, zeros, fitted_prev, inner_callback)
         if best is None or trace[-1] > best.trace[-1]:
             best = InnerFit(
                 candidate=state.candidate(rho=1),
@@ -613,8 +611,9 @@ def fit(
     contribution is sign-normalized so its column loadings sum to a
     nonnegative value (the materialized model is invariant).  For truncated
     data the latent values at observed zeros are carried across factors.
-    ``inner_callback(h, step_name, state, fitted_prev)`` is invoked after
-    every inner step when provided (diagnostics hook).
+    ``inner_callback(h, step_name, state, fitted_prev)``, when given, goes
+    to :func:`run_inner`, which calls it after every step and latent refresh
+    (diagnostics hook; it must not modify its arguments).
     """
     n, p = data.shape
     if side.x.shape[0] != n or side.w.shape[0] != p:
@@ -643,10 +642,6 @@ def fit(
     )
 
     for h in range(1, hp.max_factors + 1):
-        on_step = None
-        if inner_callback is not None:
-            def on_step(name, state, _h=h):
-                inner_callback(_h, name, state, fitted)
         resid = latent - fitted
         best = fit_contribution(
             resid,
@@ -657,7 +652,7 @@ def fit(
             mask=data.mask,
             zeros=zeros if data.transform == Transform.NONNEG_TRUNCATION else None,
             fitted_prev=fitted,
-            on_step=on_step,
+            inner_callback=inner_callback,
         )
         q = prob_active(h, hp.shrink)
         l_active = best.trace[-1] - log(q)

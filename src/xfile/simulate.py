@@ -325,8 +325,8 @@ def run_grid_search(
     """Selects (alpha, b_sigma, b_eta) by validation RMSE on one extra replicate.
 
     ``grid`` maps any of "alpha", "b_sigma", "b_eta" to non-empty lists of
-    numbers, or raises ValueError before fitting; missing keys keep the
-    incumbent value.  The validation replicate uses a seed stream disjoint
+    numbers in the parameter's range, or raises ValueError before fitting;
+    missing keys keep the incumbent value.  The validation replicate uses a seed stream disjoint
     from the experiment replicates.
     """
     for key, values in grid.items():
@@ -343,20 +343,23 @@ def run_grid_search(
     # fixed spawn key: keeps the validation stream disjoint from the
     # replicate streams (which use plain spawn) and reproducible
     val_seq = np.random.SeedSequence(spec.seed, spawn_key=(0x5EED,))
-    rng = np.random.default_rng(val_seq)
     fit_seed = int(val_seq.generate_state(1)[0])
-    observed, side, truth = generate(spec, rng)
-    heldout = ~observed.mask
-    trials = []
-    best_hp, best_rmse = hp, np.inf
-    for alpha, b_sigma, b_eta in product(alphas, b_sigmas, b_etas):
-        trial_hp = replace(
+    # built first, so that every candidate's range checks run before any fit
+    candidates = [
+        (alpha, b_sigma, b_eta, replace(
             hp,
             b_sigma=float(b_sigma),
             b_eta=float(b_eta),
             shrink=replace(hp.shrink, alpha=float(alpha)),
             seed=fit_seed,
-        )
+        ))
+        for alpha, b_sigma, b_eta in product(alphas, b_sigmas, b_etas)
+    ]
+    observed, side, truth = generate(spec, np.random.default_rng(val_seq))
+    heldout = ~observed.mask
+    trials = []
+    best_hp, best_rmse = hp, np.inf
+    for alpha, b_sigma, b_eta, trial_hp in candidates:
         result = fit(observed, side, trial_hp)
         pred = predict_matrix(result, side, trial_hp.eps_frelu, observed.transform)
         score = rmse(pred[heldout], truth[heldout])

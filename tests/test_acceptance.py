@@ -113,13 +113,13 @@ def test_criterion_3_monotone_ascent():
                              hp=make_hp(max_inner_iters=30, tol=1e-9, seed=inst))
         last = [inner_logpost(state)]
 
-        def on_step(name, s):
+        def callback(h, name, s, prev):
             j = inner_logpost(s)
             worst[0] = max(worst[0], last[0] - j)
             steps[0] += 1
             last[0] = j
 
-        run_inner(state, on_step=on_step)
+        run_inner(state, inner_callback=callback)
     elapsed = time.perf_counter() - t0
     ok = worst[0] <= 1e-10 and elapsed < 60.0
     _report(3, ok, f"worst decrease {worst[0]:.2e} over {steps[0]} steps "

@@ -1,10 +1,12 @@
 """Stage-wise outer loop: rank selection, identification, reproducibility."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_hp, make_side
-from xfile.model import ObservedMatrix, SideInfo, Transform
+from xfile.model import ObservedMatrix, SideInfo, Transform, materialize
 from xfile.optimizer import fit, predict_matrix
 from xfile.shrinkage import ShrinkageParams
 
@@ -103,6 +105,51 @@ class TestTrace:
         data = ObservedMatrix(values, mask)
         result = fit(data, side, make_hp(seed=1, n_restarts=1, max_inner_iters=40))
         assert np.all(result.latent_residual[~mask] == 0.0)
+
+
+class TestStepEvents:
+    @pytest.mark.parametrize("transform", list(Transform))
+    def test_event_stream(self, rng, transform):
+        # Per factor h, each of the 2 restarts emits warm-up cycles (W), then
+        # full cycles (F); every cycle ends in a latent refresh only under
+        # truncation.  fitted_prev is the sum of the factors accepted before h.
+        n, p = 12, 10
+        side = make_side(n, p, 2, 2, rng)
+        values = rng.standard_normal((n, p)) + 3.0 * np.outer(
+            rng.standard_normal(n), rng.standard_normal(p)
+        )
+        if transform == Transform.NONNEG_TRUNCATION:
+            values = np.maximum(values, 0.0)
+        data = ObservedMatrix(values, rng.random((n, p)) > 0.1, transform)
+        hp = make_hp(seed=6, n_restarts=2, max_inner_iters=30, max_factors=3)
+        events, prev_at = [], {}
+
+        def callback(h, name, state, fitted_prev):
+            assert h == state.h
+            events.append((h, name))
+            if h not in prev_at:
+                prev_at[h] = fitted_prev.copy()
+
+        result = fit(data, side, hp, inner_callback=callback)
+        assert result.rank >= 1
+        last_h = min(result.rank + 1, hp.max_factors)
+        hs = [h for h, _ in events]
+        assert hs == sorted(hs) and set(hs) == set(range(1, last_h + 1))
+
+        latent = ("latent",) if transform == Transform.NONNEG_TRUNCATION else ()
+        cycles = {"W": ("u", "beta", "v", "gamma", "eta") + latent,
+                  "F": ("u", "psi", "beta", "v", "phi", "gamma", "eta") + latent}
+        for h in range(1, last_h + 1):
+            names = tuple(name for g, name in events if g == h)
+            kinds, i = "", 0
+            while i < len(names):
+                kind = next((k for k, c in cycles.items() if names[i:i + len(c)] == c), None)
+                assert kind, names[i:i + 8]
+                kinds += kind
+                i += len(cycles[kind])
+            assert re.fullmatch("(W+F+)" * hp.n_restarts, kinds), kinds
+            np.testing.assert_array_equal(
+                prev_at[h], materialize(result.contributions[:h - 1], side, hp.eps_frelu))
 
 
 class TestReproducibility:

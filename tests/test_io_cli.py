@@ -432,6 +432,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "JSON object" in err
 
+    @pytest.mark.parametrize("flag", ["--config", "--scenario", "--grid"])
+    def test_invalid_json_names_its_file(self, tmp_path, capsys, flag):
+        data_path = tmp_path / "d.csv"
+        save_matrix(data_path, np.ones((3, 3)))
+        good = {"--config": {"n_restarts": 1}, "--grid": {"alpha": [1.0]},
+                "--scenario": {"n": 12, "p": 12, "n_replicates": 1}}
+        paths = {}
+        for key, raw in good.items():
+            paths[key] = tmp_path / f"{key[2:]}.json"
+            paths[key].write_text("" if key == flag else json.dumps(raw))
+        if flag == "--config":
+            args = ["fit", "--data", str(data_path), "--out-dir", str(tmp_path / "o")]
+        else:
+            args = ["simulate", "--scenario", str(paths["--scenario"]),
+                    "--grid", str(paths["--grid"]), "--out", str(tmp_path / "o" / "r.csv")]
+        assert main(args + ["--config", str(paths["--config"])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[flag]}: "), err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("config", [{"max_factors": 2.5}, {"tol": "1e-8"},
                                         {"n_restarts": 1.5}, {"seed": True},
                                         {"alpha": "5", "delta": False}, {"delta": False},
@@ -489,8 +509,6 @@ class TestCli:
         mask[4, 3] = False
         save_matrix("d.csv", values, mask)
         save_matrix("want.csv", (~mask).astype(float))
-        for out_dir in ("prior", "pred"):  # prior and predict need their --out directory
-            (tmp_path / out_dir).mkdir()
         (tmp_path / "hp.json").write_text(json.dumps({"n_restarts": 1, "max_inner_iters": 20,
                                                       "max_factors": 2}))
         (tmp_path / "scenario.json").write_text(json.dumps({

@@ -69,7 +69,7 @@ class TestUpdateLatent:
         before = []
         checked = [0]
 
-        def on_step(name, s):
+        def callback(h, name, s, prev):
             if name == "eta":
                 before.append(s.ztilde.copy())
             elif name == "latent":
@@ -81,7 +81,7 @@ class TestUpdateLatent:
                 checked[0] += 1
 
         run_inner(state, zeros=observed_zeros(data), fitted_prev=fitted_prev,
-                  on_step=on_step)
+                  inner_callback=callback)
         assert checked[0] > 0
         pos = mask & (values > 0)
         np.testing.assert_array_equal(state.ztilde[pos], (values - fitted_prev)[pos])

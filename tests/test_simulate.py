@@ -249,7 +249,8 @@ class TestGridSearch:
         assert best_hp.shrink.alpha == chosen["alpha"]
 
     @pytest.mark.parametrize("grid", [{"alpha": [1.0, "x"]}, {"alpha": ["3"]},
-                                      {"b_sigma": [True]}])
+                                      {"b_sigma": [True]}, {"alpha": [1.0, -3.0]},
+                                      {"b_sigma": [0.5, 0.0]}])
     def test_non_numeric_candidates_rejected_before_fitting(self, monkeypatch, grid):
         calls = []
         real_fit = simulate.fit
