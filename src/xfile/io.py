@@ -272,8 +272,8 @@ def export_analysis(
     and a warning.
     """
     p = side.w.shape[0]
-    if (grid_rows is None) != (grid_cols is None) or (
-            grid_rows is not None and grid_rows * grid_cols != p):
+    if (grid_rows is None) != (grid_cols is None) or (grid_rows is not None and (
+            min(grid_rows, grid_cols) < 1 or grid_rows * grid_cols != p)):
         raise ValueError(f"grid {grid_rows}x{grid_cols} does not tile {p} column cells")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -167,6 +167,8 @@ class HyperParams:
             raise ValueError(f"eps_frelu must be >= 0, got {self.eps_frelu}")
         if self.max_factors < 1 or self.max_inner_iters < 1 or self.n_restarts < 1:
             raise ValueError("max_factors, max_inner_iters and n_restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.b_eta > self.a_eta:

@@ -33,7 +33,6 @@ __all__ = [
 
 TRUNCATION_CAP = 10_000
 TAIL_MASS_TARGET = 1e-4
-TRUNCATION_WARN_LEVEL = 1e-6
 
 
 def _check_numbers(obj, counts: tuple, reals: tuple) -> None:
@@ -76,7 +75,7 @@ def prob_active(h: int, params: ShrinkageParams) -> float:
         raise ValueError(f"h must be >= 1, got {h}")
     a, d = params.alpha, params.delta
     if d == 0.0:
-        return exp(h * (log(a) - log(1.0 + a))) if a > 0 else 0.0
+        return exp(h * (log(a) - log(1.0 + a)))
     return exp(
         lgamma(h + 1.0 + a / d)
         + lgamma((1.0 + a) / d)
@@ -101,8 +100,6 @@ def activation_tail(params: ShrinkageParams, H: int) -> float:
     if d >= 0.5:
         return inf
     if d == 0.0:
-        if a <= 0:
-            return 0.0
         r = a / (1.0 + a)
         return r ** (H + 1) / (1.0 - r)
     return exp(
@@ -184,24 +181,25 @@ def simulate_prior_ranks(
     thinned point process with expected count R_H * c(H) where c(H) =
     activation_tail(H) / prob_active(H); when delta < 1/2 they are drawn
     from the matching Poisson law, which keeps the mean of k exact under
-    truncation.  Emits a warning when the truncation leaves more than
-    marginal activation mass uncovered.
+    truncation.  Warns when the activation mass beyond H is at least
+    ``TAIL_MASS_TARGET``, the bound :func:`default_truncation` meets unless capped.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     if H < 1:
         raise ValueError(f"H must be >= 1, got {H}")
     q_H = prob_active(H, params)
-    if q_H >= TRUNCATION_WARN_LEVEL:
+    tail = activation_tail(params, H)
+    if tail >= TAIL_MASS_TARGET:
         warnings.warn(
-            f"truncation H={H} may be insufficient: E[1 - pi_H] = {q_H:.3g} "
-            f">= {TRUNCATION_WARN_LEVEL:g}"
+            f"truncation H={H} may be insufficient: activation mass beyond H = {tail:.3g} "
+            f">= {TAIL_MASS_TARGET:g}"
             + ("" if params.delta < 0.5 else " and no tail correction applies"),
             RuntimeWarning,
         )
     tail_rate = 0.0
     if params.delta < 0.5 and q_H > 0.0:
-        tail_rate = activation_tail(params, H) / q_H
+        tail_rate = tail / q_H
 
     m = np.arange(1, H + 1, dtype=float)
     a_beta = 1.0 - params.delta

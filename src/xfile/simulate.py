@@ -16,10 +16,8 @@ vectors are standard normal.
 import csv
 import io
 import json
-import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from numbers import Real
@@ -41,7 +39,6 @@ __all__ = [
     "ExperimentReport",
     "run_experiment",
     "run_grid_search",
-    "resolve_workers",
 ]
 
 DGP_ADDITIVE = "additive"
@@ -78,6 +75,8 @@ class ScenarioSpec:
                        ("holdout_fraction", "sparsity_fraction", "noise_sd"))
         if min(self.n, self.p, self.k_true, self.q_x, self.q_w, self.n_replicates) < 1:
             raise ValueError("n, p, k_true, q_x, q_w and n_replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dgp not in (DGP_ADDITIVE, DGP_MULTIPLICATIVE):
             raise ValueError(f"unknown dgp {self.dgp!r}")
         if not (0.0 < self.holdout_fraction < 1.0):
@@ -250,70 +249,50 @@ class ExperimentReport:
         return ["# " + json.dumps(meta, sort_keys=True)]
 
 
-def _replicate_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(count)
+def _draw_replicate(spec: ScenarioSpec, seq: np.random.SeedSequence) -> tuple:
+    """``(observed, side, truth, fit_seed)``: data from ``default_rng(seq)``, fit seed from ``seq``."""
+    observed, side, truth = generate(spec, np.random.default_rng(seq))
+    return observed, side, truth, int(seq.generate_state(1)[0])
 
 
-def _run_replicate(args) -> tuple[list[ReplicateRecord], str | None]:
-    spec, hp, idx, seq = args
-    rng = np.random.default_rng(seq)
-    fit_seed = int(seq.generate_state(1)[0])
-    observed, side, truth = generate(spec, rng)
+def _fit_and_score(replicate: tuple, hp: HyperParams) -> tuple[float, int, float]:
+    """Held-out RMSE, rank and fit-and-predict wall ms of ``hp`` under the replicate's fit seed."""
+    observed, side, truth, fit_seed = replicate
     heldout = ~observed.mask
-    records = []
-    try:
-        t0 = time.perf_counter()
-        result = fit(observed, side, hp.with_seed(fit_seed))
-        pred = predict_matrix(result, side, hp.eps_frelu, observed.transform)
-        ms = (time.perf_counter() - t0) * 1000.0
-        records.append(ReplicateRecord(
-            idx, "xfile", rmse(pred[heldout], truth[heldout]), result.rank, ms))
-    except Exception as exc:  # noqa: BLE001 - a failed replicate must not kill the run
-        return records, f"replicate {idx}: xfile failed: {exc!r}"
     t0 = time.perf_counter()
-    b_u, b_v = fit_baseline(observed)
-    pred_b = baseline_predict(b_u, b_v)
+    result = fit(observed, side, hp.with_seed(fit_seed))
+    pred = predict_matrix(result, side, hp.eps_frelu, observed.transform)
     ms = (time.perf_counter() - t0) * 1000.0
-    records.append(ReplicateRecord(
-        idx, "baseline", rmse(pred_b[heldout], truth[heldout]), 0, ms))
-    return records, None
-
-
-def resolve_workers(n_tasks: int) -> int:
-    """Worker count from XFILE_THREADS: unset/1 -> sequential, 0 -> one per CPU."""
-    raw = os.environ.get("XFILE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        warnings.warn(f"ignoring non-integer XFILE_THREADS={raw!r}", RuntimeWarning)
-        cap = 1
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
+    return rmse(pred[heldout], truth[heldout]), result.rank, ms
 
 
 def run_experiment(spec: ScenarioSpec, hp: HyperParams) -> ExperimentReport:
     """Fits both models on every replicate and scores held-out RMSE.
 
-    Replicates draw independent seed streams from the scenario seed, so
-    reports are reproducible bit for bit; a failing replicate is recorded
-    and skipped rather than aborting the run.
+    Replicates draw independent seed streams from the scenario seed and run
+    in order, so reports are reproducible bit for bit; a failing replicate
+    is recorded and skipped rather than aborting the run.
     """
-    seqs = _replicate_seeds(spec.seed, spec.n_replicates)
-    tasks = [(spec, hp, i, seqs[i]) for i in range(spec.n_replicates)]
-    workers = resolve_workers(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_replicate, tasks))
-    else:
-        outcomes = [_run_replicate(t) for t in tasks]
     records: list[ReplicateRecord] = []
     errors: list[str] = []
-    for recs, err in outcomes:
-        records.extend(recs)
-        if err is not None:
+    for idx, seq in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.n_replicates)):
+        replicate = _draw_replicate(spec, seq)
+        try:
+            score, rank, ms = _fit_and_score(replicate, hp)
+        except Exception as exc:  # noqa: BLE001 - a failed replicate must not kill the run
+            err = f"replicate {idx}: xfile failed: {exc!r}"
             warnings.warn(err, RuntimeWarning)
             errors.append(err)
+            continue
+        records.append(ReplicateRecord(idx, "xfile", score, rank, ms))
+        observed, _, truth, _ = replicate
+        heldout = ~observed.mask
+        t0 = time.perf_counter()
+        b_u, b_v = fit_baseline(observed)
+        pred_b = baseline_predict(b_u, b_v)
+        ms = (time.perf_counter() - t0) * 1000.0
+        records.append(ReplicateRecord(
+            idx, "baseline", rmse(pred_b[heldout], truth[heldout]), 0, ms))
     return ExperimentReport(spec=spec, hyper=hp, records=tuple(records), errors=tuple(errors))
 
 
@@ -343,7 +322,6 @@ def run_grid_search(
     # fixed spawn key: keeps the validation stream disjoint from the
     # replicate streams (which use plain spawn) and reproducible
     val_seq = np.random.SeedSequence(spec.seed, spawn_key=(0x5EED,))
-    fit_seed = int(val_seq.generate_state(1)[0])
     # built first, so that every candidate's range checks run before any fit
     candidates = [
         (alpha, b_sigma, b_eta, replace(
@@ -351,20 +329,16 @@ def run_grid_search(
             b_sigma=float(b_sigma),
             b_eta=float(b_eta),
             shrink=replace(hp.shrink, alpha=float(alpha)),
-            seed=fit_seed,
         ))
         for alpha, b_sigma, b_eta in product(alphas, b_sigmas, b_etas)
     ]
-    observed, side, truth = generate(spec, np.random.default_rng(val_seq))
-    heldout = ~observed.mask
+    replicate = _draw_replicate(spec, val_seq)
     trials = []
     best_hp, best_rmse = hp, np.inf
     for alpha, b_sigma, b_eta, trial_hp in candidates:
-        result = fit(observed, side, trial_hp)
-        pred = predict_matrix(result, side, trial_hp.eps_frelu, observed.transform)
-        score = rmse(pred[heldout], truth[heldout])
+        score, rank, _ = _fit_and_score(replicate, trial_hp)
         trials.append({"alpha": alpha, "b_sigma": b_sigma, "b_eta": b_eta,
-                       "rmse": score, "rank": result.rank})
+                       "rmse": score, "rank": rank})
         if score < best_rmse:
-            best_rmse, best_hp = score, replace(trial_hp, seed=hp.seed)
+            best_rmse, best_hp = score, trial_hp
     return best_hp, trials

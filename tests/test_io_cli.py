@@ -400,7 +400,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", [["--grid-rows", "3", "--grid-cols", "3"],
-                                      ["--grid-rows", "2"]])
+                                      ["--grid-rows", "2"],
+                                      ["--grid-rows", "-2", "--grid-cols", "-4"]])
     def test_export_bad_grid_writes_nothing(self, tmp_path, rng, capsys, grid):
         model = tmp_path / "model"
         result = fit_result([random_contribution(9, 8, 1, 1, rng)], np.zeros((9, 8)))
@@ -455,7 +456,7 @@ class TestCli:
     @pytest.mark.parametrize("config", [{"max_factors": 2.5}, {"tol": "1e-8"},
                                         {"n_restarts": 1.5}, {"seed": True},
                                         {"alpha": "5", "delta": False}, {"delta": False},
-                                        {"alpha": True}, {"alpha": "abc"}])
+                                        {"alpha": True}, {"alpha": "abc"}, {"seed": -1}])
     def test_fit_malformed_hyperparams(self, tmp_path, capsys, config):
         data_path = tmp_path / "d.csv"
         save_matrix(data_path, np.ones((4, 3)))
@@ -471,6 +472,7 @@ class TestCli:
     @pytest.mark.parametrize("flag,config", [
         ("--scenario", {"n": "12"}), ("--scenario", {"n_replicates": 1.5}),
         ("--scenario", {"noise_sd": "1"}), ("--config", {"max_inner_iters": True}),
+        ("--scenario", {"seed": -1}),
     ])
     def test_simulate_malformed_inputs(self, tmp_path, capsys, flag, config):
         paths = {}

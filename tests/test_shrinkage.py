@@ -1,5 +1,6 @@
 """Stick-breaking prior: closed forms, truncation, Monte Carlo."""
 
+import warnings
 from contextlib import nullcontext
 from math import inf
 
@@ -118,7 +119,6 @@ class TestSimulation:
     ])
     def test_mean_rank(self, params):
         rng = np.random.default_rng(23)
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             sample = simulate_prior_ranks(params, 200, 40_000, rng)
@@ -134,6 +134,16 @@ class TestSimulation:
         rng = np.random.default_rng(5)
         _, probs = simulate_rank_pmf(ShrinkageParams(5.0, 0.0), None, 5_000, rng)
         assert probs.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("delta,alpha", [(0.0, 5.0), (0.2, 2.8), (0.0, 20.0), (0.2, 11.8)])
+    def test_default_truncation_does_not_warn(self, delta, alpha):
+        # the criterion-1 cases whose default truncation is below the cap
+        params = ShrinkageParams(alpha, delta)
+        H = default_truncation(params)
+        assert H < 10_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_prior_ranks(params, H, 200, np.random.default_rng(1))
 
     def test_truncation_warning(self):
         rng = np.random.default_rng(9)

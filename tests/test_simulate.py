@@ -216,24 +216,32 @@ class TestRunExperiment:
         np.testing.assert_array_equal(s1.x, s2.x)
         np.testing.assert_array_equal(t1, t2)
 
-    def test_parallel_workers_match_sequential(self, monkeypatch):
-        spec = _spec(n=18, p=14, k_true=2, n_replicates=2, sparsity_fraction=0.25)
-        monkeypatch.delenv("XFILE_THREADS", raising=False)
-        sequential = run_experiment(spec, _fast_hp())
-        monkeypatch.setenv("XFILE_THREADS", "2")
-        parallel = run_experiment(spec, _fast_hp())
-        assert _strip_wall_time(sequential.to_csv()) == _strip_wall_time(parallel.to_csv())
+    def test_failed_replicate_is_recorded_and_skipped(self, monkeypatch):
+        spec = _spec(n=18, p=14, k_true=2, n_replicates=3, sparsity_fraction=0.25)
+        clean = run_experiment(spec, _fast_hp())
+        calls = []
+        real_fit = simulate.fit
 
-    def test_worker_resolution(self, monkeypatch):
-        from xfile.simulate import resolve_workers
+        def fit_failing_second_call(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError("boom")
+            return real_fit(*args, **kwargs)
 
-        monkeypatch.delenv("XFILE_THREADS", raising=False)
-        assert resolve_workers(8) == 1
-        monkeypatch.setenv("XFILE_THREADS", "3")
-        assert resolve_workers(8) == 3
-        assert resolve_workers(2) == 2
-        monkeypatch.setenv("XFILE_THREADS", "0")
-        assert resolve_workers(4) >= 1
+        monkeypatch.setattr(simulate, "fit", fit_failing_second_call)
+        with pytest.warns(RuntimeWarning) as caught:
+            report = run_experiment(spec, _fast_hp())
+        error = "replicate 1: xfile failed: FloatingPointError('boom')"
+        assert [str(w.message) for w in caught] == [error]
+        assert report.errors == (error,)
+
+        def stripped(records):
+            # wall time aside; replicate 1 keeps neither its xfile nor its baseline record
+            return [(r.replicate, r.model, r.rmse, r.rank_selected) for r in records]
+
+        assert stripped(report.records) == stripped(
+            r for r in clean.records if r.replicate != 1)
+        assert error in report.to_csv().splitlines()[0]
 
 
 class TestGridSearch:
