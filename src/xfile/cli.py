@@ -56,6 +56,8 @@ def _load_json(path):
 
 
 def _cmd_prior(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     params = ShrinkageParams(alpha=args.alpha, delta=args.delta)
     trunc = args.trunc if args.trunc is not None else default_truncation(params)
     rng = np.random.default_rng(args.seed)

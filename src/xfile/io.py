@@ -165,27 +165,42 @@ def save_model(out_dir, result: FitResult, side: SideInfo, transform: Transform,
 
 
 def load_model(model_dir) -> tuple[FitResult, SideInfo, Transform, float]:
-    """Inverse of :func:`save_model`."""
+    """Inverse of :func:`save_model`.  Every file must have the shape that
+    the manifest's ``rank``, ``n``, ``p``, ``q_x`` and ``q_w`` give it."""
     model = Path(model_dir)
     manifest = json.loads((model / "manifest.json").read_text())
     if manifest.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {manifest.get('format')!r}")
-    k = int(manifest["rank"])
+    try:
+        k, n, p, q_x, q_w = (int(manifest[key]) for key in ("rank", "n", "p", "q_x", "q_w"))
+    except KeyError as exc:
+        raise ValueError(f"{model / 'manifest.json'}: no {exc} entry") from exc
 
-    def _read(name):
-        return np.loadtxt(model / name, delimiter=",", ndmin=2)
+    def _read(name, shape):
+        path = model / name
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty file fails the shape check
+                values = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if values.shape != shape:
+            raise ValueError(f"{path}: shape {values.shape} does not match {shape} "
+                             f"from manifest.json")
+        return values
 
-    side = SideInfo(x=_read("x.csv"), w=_read("w.csv"))
+    side = SideInfo(x=_read("x.csv", (n, q_x)), w=_read("w.csv", (p, q_w)))
     contributions = ()
     if k:  # a rank-0 model has empty family files
-        columns = {name: _read(f"{name}.csv") for name in FAMILIES}
-        theta = _read("theta.csv")
+        columns = {name: _read(f"{name}.csv", (size, k))
+                   for name, size in zip(FAMILIES, _family_sizes(side))}
+        theta = _read("theta.csv", (k, 2))
         contributions = tuple(
             FactorContribution(**{name: a[:, h] for name, a in columns.items()},
                                eta=float(theta[h, 0]), rho=int(theta[h, 1]))
             for h in range(k)
         )
-    residual = _read("latent_residual.csv")
+    residual = _read("latent_residual.csv", (n, p))
     result = FitResult(
         contributions=contributions,
         logpost_trace=np.empty(0),

@@ -103,19 +103,17 @@ class InnerState:
 
     The state owns the workspace of its steps, allocated here, so that no
     step and no objective evaluation allocates an n x p array: ``_work``
-    holds four n x p float buffers and one n x p bool buffer, which every
-    loading, flag and coefficient step overwrites, and ``_work_t`` their
-    transposed views, which the column steps use.  :func:`inner_logpost`
-    writes the residual into its own n x p buffer ``_resid`` (the
-    coefficient safeguard evaluates the objective while ``_work`` still
-    holds its tangent residual) and, when some cells are unobserved,
+    holds three n x p float buffers and ``_work_t`` their transposed views,
+    which the column steps use.  Every step and every objective evaluation
+    may overwrite the workspace, so no value in it outlives the call that
+    wrote it.  When some cells are unobserved, :func:`inner_logpost`
     gathers the observed ones into ``_observed`` (their flat indices and a
     buffer of that length).  :meth:`cells` without ``out`` returns a fresh
     array.
     """
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
-        self.mask = np.asarray(mask, dtype=bool)
+        self.mask = np.asarray(mask, bool)
         self.unobserved = ~self.mask
         self.side = side
         self.hp = hp
@@ -136,9 +134,8 @@ class InnerState:
         self.eta = float(eta)
         self.refresh_links()
         n, p = self.mask.shape
-        self._work = (*(np.empty((n, p)) for _ in range(4)), np.empty((n, p), dtype=bool))
+        self._work = tuple(np.empty((n, p)) for _ in range(3))
         self._work_t = tuple(buf.T for buf in self._work)
-        self._resid = np.empty((n, p))
         if self.mask.all():
             self._observed = None
         else:
@@ -173,7 +170,7 @@ def inner_logpost(state: InnerState) -> float:
     residual plus ``log_prior_contribution(state.candidate(1), ...)``, but
     read from the state's arrays and cached constants.
     """
-    resid = state.cells(out=state._resid)
+    resid = state.cells(out=state._work[0])
     np.subtract(state.ztilde, resid, out=resid)
     if state._observed is None:
         resid = resid.ravel()  # all cells, in the order of resid[mask]
@@ -228,32 +225,26 @@ def _columns(state: InnerState) -> _Side:
                  ("v", "phi", "gamma"))
 
 
-def _masked_ratio(num: np.ndarray, denom: np.ndarray, invalid: np.ndarray) -> np.ndarray:
-    """num / denom in place, zero on the invalid cells."""
+def _masked_ratio(num: np.ndarray, denom: np.ndarray, unobserved: np.ndarray) -> np.ndarray:
+    """num / denom in place, zero on the unobserved cells."""
     np.divide(num, denom, out=num)
-    num[invalid] = 0.0
+    num[unobserved] = 0.0
     return num
 
 
-def _uninformative(s: _Side, A: np.ndarray, invalid: np.ndarray) -> np.ndarray:
-    """Marks in ``invalid`` the cells that carry no information: A = 0 or unobserved."""
-    np.equal(A, 0.0, out=invalid)
-    return np.logical_or(invalid, s.unobserved, out=invalid)
+def _surrogate_sums(s: _Side, state: InnerState, A, at, denom, tmp):
+    """Per-row sums of A^2 / D and A ztilde / D over the observed cells,
+    with the surrogate denominator D = 2b + r^2 at the tangent residual
+    r = ztilde - A * at (one tangent value per row).  Cells with A = 0 add
+    zero, since D >= 2b > 0.
 
-
-def _surrogate_sums(s: _Side, state: InnerState, A, at, invalid, r_tan, denom, tmp):
-    """Per-row sums of A^2 / D and A ztilde / D over the valid cells, with
-    the surrogate denominator D = 2b + r_tan^2 at the tangent residual
-    r_tan = ztilde - A * at (one tangent value per row).
-
-    Leaves r_tan and D in their buffers (which may be one buffer, and then
-    holds D) and overwrites ``tmp``.
+    Leaves D in ``denom`` and overwrites ``tmp``.
     """
-    np.multiply(A, at[:, None], out=r_tan)
-    np.subtract(s.ztilde, r_tan, out=r_tan)
-    np.add(state.two_b, np.square(r_tan, out=denom), out=denom)
-    w = _masked_ratio(np.multiply(A, A, out=tmp), denom, invalid).sum(axis=1)
-    wz = _masked_ratio(np.multiply(A, s.ztilde, out=tmp), denom, invalid).sum(axis=1)
+    np.multiply(A, at[:, None], out=denom)
+    np.subtract(s.ztilde, denom, out=denom)
+    np.add(state.two_b, np.square(denom, out=denom), out=denom)
+    w = _masked_ratio(np.multiply(A, A, out=tmp), denom, s.unobserved).sum(axis=1)
+    wz = _masked_ratio(np.multiply(A, s.ztilde, out=tmp), denom, s.unobserved).sum(axis=1)
     return w, wz
 
 
@@ -280,20 +271,18 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
 
     with A_ij = (eta / c) * frelu(x'beta) * frelu(w'gamma) * (flag * loading)
     of the other side, over columns with effective loading, zbar = ztilde / A
-    and D2 = A^-2 {2b + (zbar - l)^2}.  Cells with A = 0 carry no
-    information and are excluded.  Rows currently flagged on take the
-    proposal (surrogate tangency guarantees ascent); rows flagged off adopt
-    it, switching on, only when that strictly increases the exact objective.
-    The stored loading is l / c.
+    and D2 = A^-2 {2b + (zbar - l)^2}, so cells with A = 0 get zero weight.
+    Rows currently flagged on take the proposal (surrogate tangency
+    guarantees ascent); rows flagged off adopt it, switching on, only when
+    that strictly increases the exact objective.  The stored loading is l / c.
     """
     hp = state.hp
     if not np.any(s.other_eff != 0):
         return state
-    A, denom, tmp, _, invalid = s.work
+    A, denom, tmp = s.work
     _scaled_outer(state.eta / s.c, s.link, s.other_link * s.other_eff, A)
-    _uninformative(s, A, invalid)
     scaled = s.loading * s.c
-    w, wz = _surrogate_sums(s, state, A, scaled, invalid, denom, denom, tmp)
+    w, wz = _surrogate_sums(s, state, A, scaled, denom, tmp)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5) * s.c**2)
     prop = wz / (w + ridge)
 
@@ -347,13 +336,14 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     on_axis = (s.design @ s.coef) > 0.0
     if not on_axis.any() or not np.any(s.other_eff != 0):
         return state
-    A, r_tan, denom, tmp, invalid = s.work
+    A, denom, tmp = s.work
     _scaled_outer(state.eta, s.flags * s.loading, s.other_link * s.other_eff, A)
-    np.logical_or(_uninformative(s, A, invalid), ~on_axis[:, None], out=invalid)
-    wvec, tvec = _surrogate_sums(s, state, A, s.link, invalid, r_tan, denom, tmp)
+    A[~on_axis] = 0.0  # their link is flat in coef; columns without loading have A = 0
+    wvec, tvec = _surrogate_sums(s, state, A, s.link, denom, tmp)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
     M = (s.design * wvec[:, None]).T @ s.design + ridge * np.eye(s.design.shape[1])
-    rhs = s.design.T @ tvec + ridge * s.mu
+    # the on-axis links are x'coef + eps, so the normal equations for x'coef carry t - eps * w
+    rhs = s.design.T @ (tvec - hp.eps_frelu * wvec) + ridge * s.mu
     newton = np.linalg.solve(M, rhs)
 
     j_before = inner_logpost(state)
@@ -366,10 +356,10 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     j = try_coef(newton)
     if not j >= j_before:
         # Newton point rejected: short gradient moves along the subgradient
-        # (zero wherever the link is flat), from the tangent point.
-        gmat = np.multiply(2.0, r_tan, out=tmp)
-        _masked_ratio(np.multiply(gmat, A, out=gmat), denom, invalid)
-        grad = (hp.a_sigma + 0.5) * (s.design.T @ gmat.sum(axis=1)) - (s.coef - s.mu)
+        # (zero wherever the link is flat), from the tangent point, where
+        # the per-row sums of 2 r A / D are 2 (t - w * link).
+        grad = ((hp.a_sigma + 0.5) * (s.design.T @ (2.0 * (tvec - wvec * s.link)))
+                - (s.coef - s.mu))
         step = GRADIENT_STEP_INIT
         for _ in range(GRADIENT_MAX_HALVINGS + 1):
             j = try_coef(s.coef + step * grad)
@@ -562,7 +552,7 @@ def fit_contribution(
     objective, i.e. the masked data loss plus this candidate's log prior.
     """
     if mask is None:
-        mask = np.ones_like(residual, dtype=bool)
+        mask = np.ones(residual.shape, bool)
     if not np.all(np.isfinite(residual[mask])):
         raise ValueError("residual contains non-finite observed entries")
     best = None

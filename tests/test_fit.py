@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_hp, make_side
+from conftest import make_hp, make_side, strong_multiplicative_instance
 from xfile.model import ObservedMatrix, SideInfo, Transform, materialize
-from xfile.optimizer import fit, predict_matrix
+from xfile.optimizer import fit, inner_logpost, predict_matrix
 from xfile.shrinkage import ShrinkageParams
 
 
@@ -150,6 +150,29 @@ class TestStepEvents:
             assert re.fullmatch("(W+F+)" * hp.n_restarts, kinds), kinds
             np.testing.assert_array_equal(
                 prev_at[h], materialize(result.contributions[:h - 1], side, hp.eps_frelu))
+
+
+class TestWholeFitAscent:
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("held_out", [0.0, 0.2])
+    def test_objective_never_falls_between_events(self, eps, held_out):
+        # every step of every restart of every factor, not only h = 1
+        data, side, _ = strong_multiplicative_instance(3, n=24, p=20, q_x=3, q_w=3)
+        mask = np.random.default_rng(4).random(data.shape) >= held_out
+        data = ObservedMatrix(data.values, mask)
+        hp = make_hp(eps_frelu=eps, max_factors=4, n_restarts=2, seed=5)
+        last, checked = [None, 0.0], set()  # the previous event's state and objective
+
+        def callback(h, name, state, fitted_prev):
+            j = inner_logpost(state)
+            if state is last[0]:
+                before = last[1]
+                assert j >= before - 1e-10 * max(1.0, abs(before)), (h, name, before, j)
+                checked.add(h)
+            last[:] = state, j
+
+        fit(data, side, hp, inner_callback=callback)
+        assert max(checked) >= 2
 
 
 class TestReproducibility:

@@ -270,6 +270,13 @@ class TestCli:
         cfg = json.loads((tmp_path / "config_used.json").read_text())
         assert cfg["alpha"] == 2.0 and cfg["seed"] == 1
 
+    def test_prior_negative_seed_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "prior" / "pmf.csv"
+        assert main(["prior", "--alpha", "5", "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert not out.parent.exists()
+
     def test_fit_predict_pipeline(self, tmp_path, rng):
         n = p = 10
         values = rng.standard_normal((n, p)) + 2.0 * np.outer(
@@ -397,6 +404,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert str(shape) in err and "(6, 5)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, keep", [
+        ("theta.csv", lambda text: b""),
+        ("latent_residual.csv", lambda text: text[:20]),
+        ("x.csv", lambda text: b"".join(text.splitlines(keepends=True)[:2])),
+        ("manifest.json", lambda text: text.replace(b'"q_x"', b'"q"')),
+    ], ids=["empty-theta", "cut-residual", "two-row-x", "manifest-without-q_x"])
+    def test_predict_model_file_disagrees_with_manifest(self, tmp_path, rng, capsys, name,
+                                                        keep):
+        n, p = 6, 5
+        model = tmp_path / "model"
+        result = fit_result([random_contribution(n, p, 2, 2, rng) for _ in range(3)],
+                            rng.standard_normal((n, p)))
+        save_model(model, result, make_side(n, p, 2, 2, rng), Transform.IDENTITY, 0.0)
+        damaged = model / name
+        damaged.write_bytes(keep(damaged.read_bytes()))
+        mask_path = tmp_path / "mask.csv"
+        save_matrix(mask_path, np.ones((n, p)))
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--mask", str(mask_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(damaged) in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", [["--grid-rows", "3", "--grid-cols", "3"],

@@ -6,7 +6,7 @@ from math import log
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from conftest import (
     exact_row_loss,
@@ -23,6 +23,7 @@ from xfile.model import (
     SideInfo,
     Transform,
     cell_marginal_loglik,
+    log_prior_contribution,
 )
 from xfile.optimizer import (
     GRADIENT_MAX_HALVINGS,
@@ -227,6 +228,53 @@ class TestCoefficientSteps:
         step_gamma(state)
         j2 = inner_logpost(state)
         assert j2 >= j1 - 1e-10
+
+
+def surrogate_maximizer(state, name):
+    """BFGS maximizer of the coefficient step's surrogate, from its definition.
+
+    Each observed cell's loss log(2b + r^2) is bounded by its tangent at the
+    current residual, and the link is x'coef + eps on the rows (columns for
+    gamma) whose linear score is positive now and held at its current value
+    on the others.  The prior is the validated ``log_prior_contribution``.
+    """
+    hp = state.hp
+    if name == "beta":
+        z, mask, X, link0 = state.ztilde, state.mask, state.side.x, state.fx
+        A = state.eta * np.outer(state.psi * state.u, state.gw * state.phi * state.v)
+    else:
+        z, mask, X, link0 = state.ztilde.T, state.mask.T, state.side.w, state.gw
+        A = state.eta * np.outer(state.fx * state.psi * state.u, state.phi * state.v).T
+    coef0 = getattr(state, name)
+    on_axis = X @ coef0 > 0.0
+    assert on_axis.any()
+    two_b = 2.0 * hp.b_sigma
+    r0 = z - A * link0[:, None]
+
+    def negated(coef):
+        link = np.where(on_axis, X @ coef + hp.eps_frelu, link0)
+        r = z - A * link[:, None]
+        bound = np.log1p(r0**2 / two_b) + (r**2 - r0**2) / (two_b + r0**2)
+        trial = copy.copy(state)
+        setattr(trial, name, coef)
+        prior = log_prior_contribution(trial.candidate(1), state.side, hp, state.h)
+        return (hp.a_sigma + 0.5) * np.sum(bound[mask]) - prior
+
+    return minimize(negated, coef0, method="BFGS", jac="3-point", options={"gtol": 1e-10}).x
+
+
+class TestSurrogateOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("name, step", [("beta", step_beta), ("gamma", step_gamma)])
+    def test_newton_point_maximizes_the_surrogate(self, monkeypatch, name, step, eps, seed):
+        state = random_state(np.random.default_rng(900 + seed), n=9, p=8, q_x=3, q_w=3,
+                             hp=make_hp(eps_frelu=eps))
+        expected = surrogate_maximizer(state, name)
+        # every objective value ties, so the step keeps its Newton point
+        monkeypatch.setattr(optimizer, "inner_logpost", lambda s: 0.0)
+        step(state)
+        np.testing.assert_allclose(getattr(state, name), expected, rtol=0.0, atol=1e-6)
 
 
 class TestSafeguardFallback:

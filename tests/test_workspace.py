@@ -3,8 +3,9 @@
 Every coordinate step and :func:`inner_logpost` writes its n x p
 temporaries into the workspace its :class:`InnerState` allocated when it was
 built.  These tests check that no step allocates an n x p array, that two
-states never share a buffer, and that the objective never overwrites a
-buffer the coefficient safeguard still needs for its gradient fallback.
+states never share a buffer, and that the coefficient safeguard's gradient
+fallback, which follows objective evaluations, matches an allocating
+reference.
 The latent refresh of truncated data writes only the observed zeros.
 """
 
@@ -101,7 +102,7 @@ def test_restarts_never_hold_two_workspaces():
             tracemalloc.stop()
 
     # Later restarts add the winner's kept ztilde (one array); a previous
-    # restart's state still alive would add its whole workspace (six).
+    # restart's state still alive would add its whole workspace (three).
     assert peak(3) - peak(1) < 2.0
 
 
@@ -137,13 +138,15 @@ def _reference_objective(state, name, coef):
     return validated_objective(trial)
 
 
-def _reference_coef_step(state, name):
+def _reference_coef_step(state, name, cell_gradient=False):
     """The safeguarded coefficient update written with allocating formulas.
 
     Returns the accepted coefficients, the objective there, and whether the
     Newton point was rejected.  For the columns every (p, n) array is a
     transposed view of an (n, p) one, so its row sums add in the order the
-    step uses.
+    step uses.  The fallback's subgradient row sums are 2 (t - w * link),
+    as the step forms them, or with ``cell_gradient`` sums of 2 r A / D
+    over the cells, which round differently.
     """
     hp = state.hp
     if name == "beta":
@@ -162,15 +165,19 @@ def _reference_coef_step(state, name):
     wmat = np.where(valid, A * A / denom, 0.0)
     tmat = np.where(valid, A * z / denom, 0.0)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
-    M = (X * wmat.sum(axis=1)[:, None]).T @ X + ridge * np.eye(X.shape[1])
-    newton = np.linalg.solve(M, X.T @ tmat.sum(axis=1) + ridge * mu)
+    wsum, tsum = wmat.sum(axis=1), tmat.sum(axis=1)
+    M = (X * wsum[:, None]).T @ X + ridge * np.eye(X.shape[1])
+    newton = np.linalg.solve(M, X.T @ (tsum - hp.eps_frelu * wsum) + ridge * mu)
 
     j_before = _reference_objective(state, name, coef)
     j = _reference_objective(state, name, newton)
     if j >= j_before:
         return newton, j, False
-    gmat = np.where(valid, 2.0 * r_tan * A / denom, 0.0)
-    grad = (hp.a_sigma + 0.5) * (X.T @ gmat.sum(axis=1)) - (coef - mu)
+    if cell_gradient:
+        gsum = np.where(valid, 2.0 * r_tan * A / denom, 0.0).sum(axis=1)
+    else:
+        gsum = 2.0 * (tsum - wsum * link)
+    grad = (hp.a_sigma + 0.5) * (X.T @ gsum) - (coef - mu)
     step = GRADIENT_STEP_INIT
     for _ in range(GRADIENT_MAX_HALVINGS + 1):
         trial = coef + step * grad
@@ -185,15 +192,17 @@ def _reference_coef_step(state, name):
     ("beta", step_beta, 13), ("beta", step_beta, 18),
     ("gamma", step_gamma, 114), ("gamma", step_gamma, 124),
 ])
-def test_gradient_fallback_reads_intact_buffers(name, step, seed):
+def test_gradient_fallback_matches_reference(name, step, seed):
     # No monkeypatch: on these states the exact objective itself rejects the
-    # Newton point, so the step evaluates the objective while its tangent
-    # residual, denominators and validity mask are still needed.
+    # Newton point, so the step takes its gradient after evaluating the
+    # objective in the workspace.
     state = random_state(np.random.default_rng(seed), n=9, p=8, q_x=3, q_w=3)
     expected, j, fell_back = _reference_coef_step(state, name)
+    cell_form = _reference_coef_step(state, name, cell_gradient=True)[0]
     assert fell_back
     step(state)
     np.testing.assert_array_equal(getattr(state, name), expected)
+    np.testing.assert_allclose(getattr(state, name), cell_form, rtol=1e-12)
     assert inner_logpost(state) == j
 
 
