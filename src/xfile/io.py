@@ -195,6 +195,10 @@ def load_model(model_dir) -> tuple[FitResult, SideInfo, Transform, float]:
         columns = {name: _read(f"{name}.csv", (size, k))
                    for name, size in zip(FAMILIES, _family_sizes(side))}
         theta = _read("theta.csv", (k, 2))
+        bad = np.flatnonzero((theta[:, 1] != 0.0) & (theta[:, 1] != 1.0))
+        if bad.size:
+            raise ValueError(f"{model / 'theta.csv'}: rho {theta[bad[0], 1]:g} of factor "
+                             f"{bad[0] + 1} is not 0 or 1")
         contributions = tuple(
             FactorContribution(**{name: a[:, h] for name, a in columns.items()},
                                eta=float(theta[h, 0]), rho=int(theta[h, 1]))
@@ -283,16 +287,18 @@ def export_analysis(
     Gaussian-kernel row-similarity matrix) and, when a grid shape is given,
     one archetype_<h>.pgm map per factor with a JSON sidecar recording the
     rescaling.  A grid shape that does not tile the columns is rejected
-    before anything is written.  A rank-0 model produces empty-schema files
-    and a warning.
+    before anything is written, and so is a model with an inactive factor
+    (see :func:`similarity_matrix`).  A rank-0 model produces empty-schema
+    files and a warning.
     """
     p = side.w.shape[0]
     if (grid_rows is None) != (grid_cols is None) or (grid_rows is not None and (
             min(grid_rows, grid_cols) < 1 or grid_rows * grid_cols != p)):
         raise ValueError(f"grid {grid_rows}x{grid_cols} does not tile {p} column cells")
+    k = result.rank
+    similarity = similarity_matrix(result, side, eps_frelu, squared_scale) if k else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    k = result.rank
     if k == 0:
         warnings.warn("rank-0 model: writing empty analysis files", RuntimeWarning)
         (out / "archetypes.csv").write_text("")
@@ -303,8 +309,7 @@ def export_analysis(
     save_matrix(out / "archetypes.csv", archetypes)
     signs = np.sign(loading_matrix(result, side, eps_frelu))
     save_matrix(out / "loading_signs.csv", signs)
-    save_matrix(out / "similarity.csv",
-                similarity_matrix(result, side, eps_frelu, squared_scale))
+    save_matrix(out / "similarity.csv", similarity)
     if grid_rows is None:
         warnings.warn("no grid shape given: skipping PGM archetype maps", RuntimeWarning)
         return

@@ -378,12 +378,16 @@ def similarity_matrix(
 
     Entry (i, l) is ``exp(-0.5 * sum_h (U_ih - U_lh)^2 / s_h)`` with U the
     :func:`loading_matrix` and s_h = theta_h by default, or theta_h^2 with
-    ``squared_scale``.
+    ``squared_scale``.  Every factor must be active (rho_h = 1), since an
+    inactive one has theta_h = 0.
     """
     if fit.rank < 1:
         raise ValueError("similarity matrix requires at least one fitted factor")
+    for h, c in enumerate(fit.contributions, 1):
+        if c.rho == 0:
+            raise ValueError(f"similarity matrix: factor {h} is inactive (rho = 0)")
     U = loading_matrix(fit, side, eps)
-    theta = np.array([c.rho * c.eta for c in fit.contributions])
+    theta = np.array([c.eta for c in fit.contributions])
     scale = theta**2 if squared_scale else theta
     Us = U / np.sqrt(scale)
     sq = np.sum(Us * Us, axis=1)

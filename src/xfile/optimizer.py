@@ -10,7 +10,8 @@ Per inner iteration the blocks are:
   1. row loadings u        -- quadratic surrogate of the Student-t loss,
                               tangent at the current value, solved per row
   2. row flags psi         -- exact on/off comparison per row
-  3. row coefficients beta -- safeguarded Newton step on the surrogate
+  3. row coefficients beta -- Newton step on the surrogate, kept only if
+                              the exact objective does not fall
   4. column loadings v     -- step 1 on the transposed problem
   5. column flags phi      -- step 2 on the transposed problem
   6. column coefficients gamma -- step 3 on the transposed problem
@@ -72,9 +73,6 @@ __all__ = [
     "fit",
     "predict_matrix",
 ]
-
-GRADIENT_STEP_INIT = 0.1
-GRADIENT_MAX_HALVINGS = 20
 
 
 def _scaled_outer(scale: float, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -320,17 +318,15 @@ def _update_flags(state: InnerState, s: _Side) -> InnerState:
 
 
 def _update_coef(state: InnerState, s: _Side) -> InnerState:
-    """Safeguarded Newton update of the coefficient vector.
+    """Newton update of the coefficient vector, or no move.
 
     Restricted to rows with positive linear score and columns with effective
     loading.  Solves the ridge-regularized normal equations of the quadratic
-    surrogate (the prior ridge keeps them nonsingular), accepts the Newton
-    point only if the exact objective does not decrease, and otherwise
-    backtracks along the (sub)gradient, halving the step length from 0.1 at
-    most 20 times; if no candidate keeps the objective from decreasing the
+    surrogate (the prior ridge keeps them nonsingular) and keeps the Newton
+    point iff the exact objective does not decrease; otherwise the
     coefficients stay put.  The objective is evaluated once before the step
-    and once per trial point; putting the coefficients back only refreshes
-    the links.
+    and once at the Newton point; putting the coefficients back only
+    refreshes the links.
     """
     hp = state.hp
     on_axis = (s.design @ s.coef) > 0.0
@@ -347,28 +343,11 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     newton = np.linalg.solve(M, rhs)
 
     j_before = inner_logpost(state)
-
-    def try_coef(value) -> float:
-        setattr(state, s.names[2], value)
+    setattr(state, s.names[2], newton)
+    state.refresh_links()
+    if not inner_logpost(state) >= j_before:
+        setattr(state, s.names[2], s.coef)
         state.refresh_links()
-        return inner_logpost(state)
-
-    j = try_coef(newton)
-    if not j >= j_before:
-        # Newton point rejected: short gradient moves along the subgradient
-        # (zero wherever the link is flat), from the tangent point, where
-        # the per-row sums of 2 r A / D are 2 (t - w * link).
-        grad = ((hp.a_sigma + 0.5) * (s.design.T @ (2.0 * (tvec - wvec * s.link)))
-                - (s.coef - s.mu))
-        step = GRADIENT_STEP_INIT
-        for _ in range(GRADIENT_MAX_HALVINGS + 1):
-            j = try_coef(s.coef + step * grad)
-            if j >= j_before:
-                break
-            step *= 0.5
-        else:
-            setattr(state, s.names[2], s.coef)
-            state.refresh_links()
     return state
 
 

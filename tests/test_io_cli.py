@@ -411,7 +411,8 @@ class TestCli:
         ("latent_residual.csv", lambda text: text[:20]),
         ("x.csv", lambda text: b"".join(text.splitlines(keepends=True)[:2])),
         ("manifest.json", lambda text: text.replace(b'"q_x"', b'"q"')),
-    ], ids=["empty-theta", "cut-residual", "two-row-x", "manifest-without-q_x"])
+        ("theta.csv", lambda text: text.replace(b",1\n", b",0.5\n", 1)),
+    ], ids=["empty-theta", "cut-residual", "two-row-x", "manifest-without-q_x", "half-rho"])
     def test_predict_model_file_disagrees_with_manifest(self, tmp_path, rng, capsys, name,
                                                         keep):
         n, p = 6, 5
@@ -429,6 +430,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(damaged) in err, err
         assert not out.exists()
+
+    def test_export_inactive_factor_writes_nothing(self, tmp_path, rng, capsys):
+        model = tmp_path / "model"
+        result = fit_result([random_contribution(9, 8, 1, 1, rng, rho=rho) for rho in (1, 0)],
+                            np.zeros((9, 8)))
+        save_model(model, result, make_side(9, 8), Transform.IDENTITY, 0.0)
+        exp = tmp_path / "exp"
+        assert main(["export", "--model", str(model), "--out-dir", str(exp),
+                     "--grid-rows", "2", "--grid-cols", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "factor 2" in err, err
+        assert not exp.exists()
 
     @pytest.mark.parametrize("grid", [["--grid-rows", "3", "--grid-cols", "3"],
                                       ["--grid-rows", "2"],

@@ -212,10 +212,13 @@ class TestKernelSimilarity:
         np.testing.assert_allclose(similarity_matrix(fit, side, squared_scale=True),
                                    [[1.0, expected_sq], [expected_sq, 1.0]], rtol=1e-12)
 
-    def test_rank_zero_rejected(self):
+    @pytest.mark.parametrize("rhos, match", [((), "at least one"), ((1, 0), "factor 2")],
+                             ids=["rank-0", "inactive-factor"])
+    def test_rank_zero_rejected(self, rng, rhos, match):
         side = make_side(3, 3)
-        with pytest.raises(ValueError):
-            similarity_matrix(fit_result([], np.zeros((3, 3))), side)
+        contributions = [random_contribution(3, 3, 1, 1, rng, rho=rho) for rho in rhos]
+        with pytest.raises(ValueError, match=match):
+            similarity_matrix(fit_result(contributions, np.zeros((3, 3))), side)
 
 
 class TestValidation:

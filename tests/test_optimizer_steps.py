@@ -26,7 +26,6 @@ from xfile.model import (
     log_prior_contribution,
 )
 from xfile.optimizer import (
-    GRADIENT_MAX_HALVINGS,
     InnerState,
     inner_logpost,
     run_inner,
@@ -277,10 +276,10 @@ class TestSurrogateOracle:
         np.testing.assert_allclose(getattr(state, name), expected, rtol=0.0, atol=1e-6)
 
 
-class TestSafeguardFallback:
+class TestRejectedNewtonPoint:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("step", [step_beta, step_gamma])
-    def test_failed_safeguard_restores_without_reevaluating(self, monkeypatch, step, seed):
+    def test_rejected_newton_point_stays_without_reevaluating(self, monkeypatch, step, seed):
         rng = np.random.default_rng(800 + seed)
         state = random_state(rng, n=7, p=6, q_x=3, q_w=3, sparse_frac=0.0)
         state.beta[0] = state.gamma[0] = 3.0  # live links: the step does not exit early
@@ -289,16 +288,16 @@ class TestSafeguardFallback:
         before = {k: getattr(state, k).copy() for k in ("beta", "gamma", "fx", "gw")}
         calls = []
 
-        def reject_every_trial(s):
+        def reject_newton_point(s):
             # the first evaluation is the objective before the step; the
-            # Newton point and every gradient halving then score -inf
+            # Newton point then scores -inf
             calls.append(None)
             return inner_logpost(s) if len(calls) == 1 else -np.inf
 
-        monkeypatch.setattr(optimizer, "inner_logpost", reject_every_trial)
+        monkeypatch.setattr(optimizer, "inner_logpost", reject_newton_point)
         step(state)
-        # 1 before the step + 1 Newton point + every halving; none to restore
-        assert len(calls) == 1 + 1 + (GRADIENT_MAX_HALVINGS + 1)
+        # 1 before the step + 1 Newton point; none to restore
+        assert len(calls) == 1 + 1
         for name, value in before.items():
             np.testing.assert_array_equal(getattr(state, name), value)
         assert inner_logpost(state) == j_before
