@@ -300,7 +300,7 @@ def export_analysis(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if k == 0:
-        warnings.warn("rank-0 model: writing empty analysis files", RuntimeWarning)
+        warnings.warn("rank-0 model: writing empty analysis files", UserWarning)
         (out / "archetypes.csv").write_text("")
         (out / "loading_signs.csv").write_text("")
         (out / "similarity.csv").write_text("")
@@ -311,7 +311,7 @@ def export_analysis(
     save_matrix(out / "loading_signs.csv", signs)
     save_matrix(out / "similarity.csv", similarity)
     if grid_rows is None:
-        warnings.warn("no grid shape given: skipping PGM archetype maps", RuntimeWarning)
+        warnings.warn("no grid shape given: skipping PGM archetype maps", UserWarning)
         return
     for h in range(k):
         image = archetypes[:, h].reshape(grid_rows, grid_cols)

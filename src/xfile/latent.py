@@ -25,16 +25,17 @@ def observed_zeros(data: ObservedMatrix) -> np.ndarray:
 
 def update_latent(fitted_prev: np.ndarray, cells: np.ndarray, out=None) -> np.ndarray:
     """Latent residual z_tilde at observed zeros, set to the mode of its full
-    conditional, into ``out``; overwrites ``cells``.
+    conditional, into ``out``.
 
     ``fitted_prev`` is the accepted factors' fit and ``cells`` the current
-    candidate's at those zeros.  The full conditional of z_tilde is a
-    Student-t truncated to (-inf, -fitted_prev); its mode is taken as
-    fitted_prev + cells below -fitted_prev and as the boundary otherwise.
+    candidate's at those zeros.  The latent value there is fitted_prev +
+    z_tilde and must be non-positive, and the candidate's mean for the
+    residual z_tilde is ``cells``: the full conditional of z_tilde is a
+    Student-t centred at ``cells`` and truncated to (-inf, -fitted_prev], so
+    its mode is min(cells, -fitted_prev).
     """
-    curr = np.add(fitted_prev, cells, out=cells)
     bound = np.negative(fitted_prev, out=out)
-    return np.minimum(curr, bound, out=bound)
+    return np.minimum(cells, bound, out=bound)
 
 
 def apply_transform(latent: np.ndarray, transform: Transform) -> np.ndarray:

@@ -10,8 +10,9 @@ Per inner iteration the blocks are:
   1. row loadings u        -- quadratic surrogate of the Student-t loss,
                               tangent at the current value, solved per row
   2. row flags psi         -- exact on/off comparison per row
-  3. row coefficients beta -- Newton step on the surrogate, kept only if
-                              the exact objective does not fall
+  3. row coefficients beta -- Newton step on the surrogate, certified when
+                              no rectifier sign changes, otherwise kept
+                              only if the exact objective does not fall
   4. column loadings v     -- step 1 on the transposed problem
   5. column flags phi      -- step 2 on the transposed problem
   6. column coefficients gamma -- step 3 on the transposed problem
@@ -23,9 +24,12 @@ x<->w, u<->v, psi<->phi, beta<->gamma, zeta_n<->zeta_p) with one loading
 scale c: the prior sees loading * c ~ N(0, c^2), with c = 1 for the rows
 and c = eta for the columns, whose loadings enter as vstar = v * eta.
 
-Every block either maximizes the exact objective over its coordinates or
-accepts a surrogate proposal only when the exact objective does not
-decrease, so the log-posterior is non-decreasing across steps 1-7.
+Every block either maximizes the exact objective over its coordinates, or
+maximizes a surrogate that minorizes it (the MM argument), or accepts a
+surrogate proposal only when the exact objective does not decrease, so the
+log-posterior is non-decreasing across steps 1-7.  The coefficient steps
+take the second way while no row changes the sign of its linear score, and
+the third otherwise.
 
 The exact objective (:func:`inner_logpost`) is summed straight from the
 candidate's arrays; :class:`InnerState` holds them with the constants it
@@ -322,11 +326,16 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
 
     Restricted to rows with positive linear score and columns with effective
     loading.  Solves the ridge-regularized normal equations of the quadratic
-    surrogate (the prior ridge keeps them nonsingular) and keeps the Newton
-    point iff the exact objective does not decrease; otherwise the
-    coefficients stay put.  The objective is evaluated once before the step
-    and once at the Newton point; putting the coefficients back only
-    refreshes the links.
+    surrogate (the prior ridge keeps them nonsingular).  The Newton point is
+    certified when no rectifier sign changes: every row keeps the sign of its
+    linear score, so the cells are affine in the coefficients on the rows it
+    models and constant on the others, the surrogate plus the prior minorizes
+    the exact objective, and its maximizer cannot lower it.  It is kept
+    without evaluating the objective.  Otherwise the step is Newton-or-stay:
+    the Newton point is kept iff the exact objective does not decrease, and
+    else the coefficients stay put.  That check evaluates the objective once
+    before the step and once at the Newton point; putting the coefficients
+    back only refreshes the links.
     """
     hp = state.hp
     on_axis = (s.design @ s.coef) > 0.0
@@ -342,10 +351,12 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     rhs = s.design.T @ (tvec - hp.eps_frelu * wvec) + ridge * s.mu
     newton = np.linalg.solve(M, rhs)
 
-    j_before = inner_logpost(state)
+    # no rectifier sign changes: the Newton point is certified (see above)
+    certified = np.array_equal((s.design @ newton) > 0.0, on_axis)
+    j_before = None if certified else inner_logpost(state)
     setattr(state, s.names[2], newton)
     state.refresh_links()
-    if not inner_logpost(state) >= j_before:
+    if not certified and not inner_logpost(state) >= j_before:
         setattr(state, s.names[2], s.coef)
         state.refresh_links()
     return state

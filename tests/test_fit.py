@@ -153,13 +153,18 @@ class TestStepEvents:
 
 
 class TestWholeFitAscent:
+    @pytest.mark.parametrize("transform", list(Transform))
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     @pytest.mark.parametrize("held_out", [0.0, 0.2])
-    def test_objective_never_falls_between_events(self, eps, held_out):
-        # every step of every restart of every factor, not only h = 1
+    def test_objective_never_falls_between_events(self, eps, held_out, transform):
+        # every step of every restart of every factor, not only h = 1, and
+        # under truncation every latent refresh too
         data, side, _ = strong_multiplicative_instance(3, n=24, p=20, q_x=3, q_w=3)
         mask = np.random.default_rng(4).random(data.shape) >= held_out
-        data = ObservedMatrix(data.values, mask)
+        values = data.values
+        if transform == Transform.NONNEG_TRUNCATION:
+            values = np.maximum(values, 0.0)
+        data = ObservedMatrix(values, mask, transform)
         hp = make_hp(eps_frelu=eps, max_factors=4, n_restarts=2, seed=5)
         last, checked = [None, 0.0], set()  # the previous event's state and objective
 

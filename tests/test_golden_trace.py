@@ -4,9 +4,9 @@ The expected values in ``data/golden_traces.json`` were recorded from the
 code before the objective was read from the state's cached arrays, the
 full-mask case (which takes the objective's path for a mask with every
 cell observed) from the code before the steps wrote into the state's
-workspace, and the truncated case with held-out cells from the code that
-still rebuilt the whole latent residual on each refresh; a speed-up that
-changes any number of these fits fails here.  The cases are
+workspace, and the two truncated cases from the code whose latent refresh
+takes the mode min(cells, -fitted_prev); a speed-up that changes any
+number of these fits fails here.  The cases are
 built by :func:`build_case` alone, so the file can be recorded again with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
@@ -121,8 +121,8 @@ def test_empty_alternative(name, monkeypatch):
         fitted = materialize(result.contributions[: h - 1], side, hp.eps_frelu)
         resid = data.values - fitted
         if data.transform == Transform.NONNEG_TRUNCATION:
-            # today's refresh of a zero candidate at the observed zeros
-            resid = np.where(data.values == 0, np.minimum(fitted, -fitted), resid)
+            # the mode of a zero candidate's residual at the observed zeros
+            resid = np.where(data.values == 0, np.minimum(0, -fitted), resid)
         lik = np.sum(cell_marginal_loglik(resid[data.mask], hp.a_sigma, hp.b_sigma))
         prior = log_prior_contribution(mode, side, hp, h) - log(1.0 - prob_active(h, hp.shrink))
         assert l_inactive == pytest.approx(lik + prior, rel=1e-12)

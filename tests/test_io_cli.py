@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ class TestExports:
 
     def test_rank_zero_warns(self, tmp_path):
         empty = fit_result([], np.zeros((3, 3)))
-        with pytest.warns(RuntimeWarning, match="rank-0"):
+        with pytest.warns(UserWarning, match="rank-0"):
             export_analysis(empty, make_side(3, 3), tmp_path)
         assert (tmp_path / "archetypes.csv").read_text() == ""
 
@@ -352,6 +353,26 @@ class TestCli:
                      "--grid-rows", "2", "--grid-cols", "4"]) == 0
         assert (exp / "similarity.csv").exists()
         assert (exp / "config_used.json").exists()
+
+    def test_gridless_export_is_no_numeric_fault(self, tmp_path, rng):
+        # skipping the PGM maps is a usage notice, so an export without a
+        # grid completes where RuntimeWarnings are errors
+        values = rng.standard_normal((9, 8)) + 2.0 * np.outer(
+            rng.standard_normal(9), rng.standard_normal(8)
+        )
+        data_path = tmp_path / "d.csv"
+        save_matrix(data_path, values)
+        run = tmp_path / "run"
+        assert main(["fit", "--data", str(data_path), "--seed", "2",
+                     "--out-dir", str(run)]) == 0
+        exp = tmp_path / "exp"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["export", "--model", str(run), "--out-dir", str(exp)]) == 0
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "no grid shape given: skipping PGM archetype maps")]
+        assert (exp / "similarity.csv").stat().st_size > 0
 
     def test_simulate_command(self, tmp_path):
         scenario = tmp_path / "scenario.json"

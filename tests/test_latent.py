@@ -12,12 +12,6 @@ from xfile.shrinkage import ShrinkageParams
 PARAMS = ("u", "psi", "beta", "v", "phi", "gamma", "eta")
 
 
-def _zero_cell(prev, curr):
-    """(fitted_prev, cells) at one observed zero whose cumulative fit with
-    the candidate is ``curr``."""
-    return np.array([float(prev)]), np.array([float(curr) - float(prev)])
-
-
 class TestObservedZeros:
     def test_only_observed_zeros_in_row_major_order(self):
         # positive cells are pinned and unobserved cells carry no data
@@ -32,13 +26,19 @@ class TestObservedZeros:
 
 
 class TestUpdateLatent:
+    # The refreshed value is the residual z_tilde (latent = fitted_prev +
+    # z_tilde), and the candidate's mean for it is its own cells, so the mode
+    # of its Student-t conditional truncated to latent <= 0 is
+    # min(cells, -fitted_prev): the candidate's cell below the bound, the
+    # bound otherwise.
+
     def test_zero_cell_interior_mode(self):
-        # cumulative fit -1 below the bound 0.5: keep the interior value
-        out = update_latent(*_zero_cell(-0.5, -1.0))
+        # candidate cell -1 below the bound 0.5: keep the interior value
+        out = update_latent(np.array([-0.5]), np.array([-1.0]))
         assert out[0] == pytest.approx(-1.0)
 
     def test_zero_cell_clipped_at_bound(self):
-        out = update_latent(*_zero_cell(0.5, 0.2))
+        out = update_latent(np.array([0.5]), np.array([-0.3]))
         assert out[0] == pytest.approx(-0.5)
 
     def test_invariants_after_update(self, rng):
@@ -46,7 +46,7 @@ class TestUpdateLatent:
         cells = rng.standard_normal(64)
         out = np.empty(64)
         assert update_latent(prev, cells.copy(), out=out) is out
-        np.testing.assert_array_equal(out, np.minimum(prev + cells, -prev))
+        np.testing.assert_array_equal(out, np.minimum(cells, -prev))
         assert np.all(prev + out <= 1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -74,7 +74,7 @@ class TestUpdateLatent:
                 before.append(s.ztilde.copy())
             elif name == "latent":
                 expected = before[-1].copy()
-                full = np.minimum(fitted_prev + s.cells(), -fitted_prev)
+                full = np.minimum(s.cells(), -fitted_prev)
                 expected[zero] = full[zero]
                 np.testing.assert_array_equal(s.ztilde, expected)
                 np.testing.assert_array_equal(s.off_loss, np.log1p(s.ztilde**2 / s.two_b))

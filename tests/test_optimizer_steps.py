@@ -276,14 +276,20 @@ class TestSurrogateOracle:
         np.testing.assert_allclose(getattr(state, name), expected, rtol=0.0, atol=1e-6)
 
 
+def _coef_and_design(state, step):
+    """Name of the coefficients ``step`` updates, and their design matrix."""
+    return ("beta", state.side.x) if step is step_beta else ("gamma", state.side.w)
+
+
 class TestRejectedNewtonPoint:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("step", [step_beta, step_gamma])
     def test_rejected_newton_point_stays_without_reevaluating(self, monkeypatch, step, seed):
-        rng = np.random.default_rng(800 + seed)
+        # on these states the Newton point flips a rectifier sign, so the step
+        # checks it against the exact objective
+        rng = np.random.default_rng((800, 803, 804, 805, 806)[seed])
         state = random_state(rng, n=7, p=6, q_x=3, q_w=3, sparse_frac=0.0)
-        state.beta[0] = state.gamma[0] = 3.0  # live links: the step does not exit early
-        state.refresh_links()
+        name, X = _coef_and_design(state, step)
         j_before = inner_logpost(state)
         before = {k: getattr(state, k).copy() for k in ("beta", "gamma", "fx", "gw")}
         calls = []
@@ -291,16 +297,49 @@ class TestRejectedNewtonPoint:
         def reject_newton_point(s):
             # the first evaluation is the objective before the step; the
             # Newton point then scores -inf
-            calls.append(None)
+            calls.append(getattr(s, name).copy())
             return inner_logpost(s) if len(calls) == 1 else -np.inf
 
         monkeypatch.setattr(optimizer, "inner_logpost", reject_newton_point)
         step(state)
         # 1 before the step + 1 Newton point; none to restore
         assert len(calls) == 1 + 1
-        for name, value in before.items():
-            np.testing.assert_array_equal(getattr(state, name), value)
+        assert not np.array_equal(X @ calls[1] > 0.0, X @ before[name] > 0.0)
+        for key, value in before.items():
+            np.testing.assert_array_equal(getattr(state, key), value)
         assert inner_logpost(state) == j_before
+
+
+class TestCertifiedNewtonPoint:
+    @pytest.mark.parametrize("seed", [803, 805])
+    @pytest.mark.parametrize("full_mask", [True, False])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("step", [step_beta, step_gamma])
+    def test_sign_keeping_newton_point_is_kept_unevaluated(self, monkeypatch, step, h, eps,
+                                                          full_mask, seed):
+        # every row keeps the sign of its linear score at the Newton point, so
+        # the surrogate certifies it: no exact evaluation, and no fall
+        state = random_state(np.random.default_rng(seed), n=7, p=6, q_x=3, q_w=3,
+                             hp=make_hp(eps_frelu=eps), sparse_frac=0.0, h=h,
+                             full_mask=full_mask)
+        state.beta[0] = state.gamma[0] = 3.0  # live links: the step does not exit early
+        state.refresh_links()
+        name, X = _coef_and_design(state, step)
+        j_before = inner_logpost(state)
+        coef = getattr(state, name).copy()
+        calls = []
+
+        def counted(s):
+            calls.append(None)
+            return inner_logpost(s)
+
+        monkeypatch.setattr(optimizer, "inner_logpost", counted)
+        step(state)
+        assert calls == []
+        assert not np.array_equal(getattr(state, name), coef)
+        np.testing.assert_array_equal(X @ getattr(state, name) > 0.0, X @ coef > 0.0)
+        assert inner_logpost(state) >= j_before - 1e-10 * max(1.0, abs(j_before))
 
 
 class TestExactObjective:

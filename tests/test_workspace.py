@@ -140,7 +140,8 @@ def _reference_coef_step(state, name):
     """The coefficient update written with allocating formulas.
 
     Returns the kept coefficients, the objective there, and whether the
-    Newton point was rejected.  For the columns every (p, n) array is a
+    Newton point was rejected: it is kept unchecked when every row keeps the
+    sign of its linear score, and otherwise iff the objective does not fall.  For the columns every (p, n) array is a
     transposed view of an (n, p) one, so its row sums add in the order the
     step uses.
     """
@@ -165,7 +166,7 @@ def _reference_coef_step(state, name):
 
     j_before = _reference_objective(state, name, coef)
     j = _reference_objective(state, name, newton)
-    if j >= j_before:
+    if np.array_equal(X @ newton > 0.0, on_axis[:, 0]) or j >= j_before:
         return newton, j, False
     return coef, j_before, True
 
@@ -175,13 +176,14 @@ def _reference_coef_step(state, name):
     ("gamma", step_gamma, 114), ("gamma", step_gamma, 124),
 ])
 def test_newton_or_stay_matches_reference(name, step, seed):
-    # No monkeypatch: on these states the exact objective itself rejects the
-    # Newton point, which the step scores in the workspace, so the
-    # coefficients, their links and the objective stay as they were.
+    # No monkeypatch: on these states the Newton point flips a rectifier sign
+    # and the exact objective itself rejects it, which the step scores in the
+    # workspace, so the coefficients, their links and the objective stay as
+    # they were.
     state = random_state(np.random.default_rng(seed), n=9, p=8, q_x=3, q_w=3)
     before = {k: getattr(state, k).copy() for k in (name, "fx", "gw")}
     _, j, rejected = _reference_coef_step(state, name)
-    assert rejected
+    assert rejected  # which the reference allows only when a sign flips
     step(state)
     for key, value in before.items():
         np.testing.assert_array_equal(getattr(state, key), value)
