@@ -11,8 +11,9 @@ Per inner iteration the blocks are:
                               tangent at the current value, solved per row
   2. row flags psi         -- exact on/off comparison per row
   3. row coefficients beta -- Newton step on the surrogate, certified when
-                              no rectifier sign changes, otherwise kept
-                              only if the exact objective does not fall
+                              no rectifier sign changes or the per-row
+                              bound is non-negative, otherwise kept only
+                              if the exact objective does not fall
   4. column loadings v     -- step 1 on the transposed problem
   5. column flags phi      -- step 2 on the transposed problem
   6. column coefficients gamma -- step 3 on the transposed problem
@@ -28,8 +29,9 @@ Every block either maximizes the exact objective over its coordinates, or
 maximizes a surrogate that minorizes it (the MM argument), or accepts a
 surrogate proposal only when the exact objective does not decrease, so the
 log-posterior is non-decreasing across steps 1-7.  The coefficient steps
-take the second way while no row changes the sign of its linear score, and
-the third otherwise.
+take the second way when no row changes the sign of its linear score or the
+per-row bound, which sums the tangent minorant over every row, is
+non-negative, and the third otherwise (Newton-or-stay).
 
 The exact objective (:func:`inner_logpost`) is summed straight from the
 candidate's arrays; :class:`InnerState` holds them with the constants it
@@ -77,12 +79,6 @@ __all__ = [
     "fit",
     "predict_matrix",
 ]
-
-
-def _scaled_outer(scale: float, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """scale * outer(a, b), written into ``out`` when one is given."""
-    out = np.multiply(a[:, None], b[None, :], out=out)
-    return np.multiply(scale, out, out=out)
 
 
 class InnerState:
@@ -154,7 +150,9 @@ class InnerState:
 
     def cells(self, out=None):
         """The candidate's n x p cells, into ``out`` or else a fresh array."""
-        return _scaled_outer(self.eta, *self.factors(), out)
+        a, b = self.factors()
+        out = np.multiply(a[:, None], b[None, :], out=out)
+        return np.multiply(self.eta, out, out=out)
 
     def candidate(self, rho: int = 1) -> FactorContribution:
         return FactorContribution(
@@ -227,27 +225,31 @@ def _columns(state: InnerState) -> _Side:
                  ("v", "phi", "gamma"))
 
 
-def _masked_ratio(num: np.ndarray, denom: np.ndarray, unobserved: np.ndarray) -> np.ndarray:
-    """num / denom in place, zero on the unobserved cells."""
-    np.divide(num, denom, out=num)
-    num[unobserved] = 0.0
-    return num
+def _surrogate_sums(s: _Side, state: InnerState, ra, cb, at, denom, tmp):
+    """Per-row sums w = sum_j A^2 / D and t = sum_j A ztilde / D over the
+    observed cells of the rank-one A = outer(ra, cb), with the surrogate
+    denominator D = 2b + r^2 at the tangent residual r = ztilde - A * at (one
+    tangent value per row).  Cells with A = 0 add zero, since D >= 2b > 0.
 
+    A is never formed: the weights 1/D, zero on the unobserved cells, are
+    computed once into ``denom``, and w = ra^2 * (1/D @ cb^2) and
+    t = ra * ((ztilde / D) @ cb).  Overwrites ``denom`` and ``tmp``.
 
-def _surrogate_sums(s: _Side, state: InnerState, A, at, denom, tmp):
-    """Per-row sums of A^2 / D and A ztilde / D over the observed cells,
-    with the surrogate denominator D = 2b + r^2 at the tangent residual
-    r = ztilde - A * at (one tangent value per row).  Cells with A = 0 add
-    zero, since D >= 2b > 0.
-
-    Leaves D in ``denom`` and overwrites ``tmp``.
+    The loading step solves its surrogate from these sums.  The coefficient
+    step feeds its Newton system the on-axis rows' sums, and the sums of
+    every row to :func:`_coef_gain_bound`: its Newton point is certified
+    when no sign changes or the per-row bound is non-negative, otherwise
+    Newton-or-stay.
     """
-    np.multiply(A, at[:, None], out=denom)
+    np.outer(ra * at, cb, out=denom)
     np.subtract(s.ztilde, denom, out=denom)
     np.add(state.two_b, np.square(denom, out=denom), out=denom)
-    w = _masked_ratio(np.multiply(A, A, out=tmp), denom, s.unobserved).sum(axis=1)
-    wz = _masked_ratio(np.multiply(A, s.ztilde, out=tmp), denom, s.unobserved).sum(axis=1)
-    return w, wz
+    np.divide(1.0, denom, out=denom)
+    denom[s.unobserved] = 0.0
+    w = ra * ra * (denom @ (cb * cb))
+    np.multiply(denom, s.ztilde, out=tmp)
+    tmp[s.unobserved] = 0.0  # ztilde need not be finite there
+    return w, ra * (tmp @ cb)
 
 
 def _masked_loglik_delta(s: _Side, state: InnerState, cells_on: np.ndarray) -> np.ndarray:
@@ -281,10 +283,11 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
     hp = state.hp
     if not np.any(s.other_eff != 0):
         return state
-    A, denom, tmp = s.work
-    _scaled_outer(state.eta / s.c, s.link, s.other_link * s.other_eff, A)
+    cells_on, denom, tmp = s.work
+    ra = (state.eta / s.c) * s.link
+    cb = s.other_link * s.other_eff
     scaled = s.loading * s.c
-    w, wz = _surrogate_sums(s, state, A, scaled, denom, tmp)
+    w, wz = _surrogate_sums(s, state, ra, cb, scaled, denom, tmp)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5) * s.c**2)
     prop = wz / (w + ridge)
 
@@ -292,7 +295,7 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
     new = np.where(inactive, scaled, prop)
     flags = s.flags
     if inactive.any():
-        d_lik = _masked_loglik_delta(s, state, np.multiply(A, prop[:, None], out=tmp))
+        d_lik = _masked_loglik_delta(s, state, np.outer(ra * prop, cb, out=cells_on))
         d_post = (
             log(s.zeta / (1.0 - s.zeta))
             + d_lik
@@ -313,25 +316,54 @@ def _update_flags(state: InnerState, s: _Side) -> InnerState:
     the sparser state.  Loadings of rows flagged off are reset to the prior
     mode zero, which can only raise the objective.
     """
-    cells_on = _scaled_outer(state.eta, s.link * s.loading, s.other_link * s.other_eff,
-                             s.work[0])
+    cells_on = np.outer(state.eta * (s.link * s.loading), s.other_link * s.other_eff,
+                        out=s.work[0])
     d_lik = _masked_loglik_delta(s, state, cells_on)
     on = (log(s.zeta / (1.0 - s.zeta)) + d_lik) > 0.0
     s.store(state, np.where(on, s.loading, 0.0), on.astype(float))
     return state
 
 
+def _coef_gain_bound(state: InnerState, s: _Side, w, t, coef) -> float:
+    """Lower bound on J(coef) - J(s.coef), the objective's change when this
+    side's coefficients move from s.coef to ``coef``.
+
+    ``w`` and ``t`` are the per-row surrogate sums of :func:`_surrogate_sums`,
+    tangent at the current links l0 = s.link, with l1 = frelu(design @ coef).
+    The tangent bound log x <= log x0 + (x - x0) / x0 holds for every link
+    value, so the bound
+
+        -(a + 1/2) sum_i (l1_i - l0_i) (w_i (l1_i + l0_i) - 2 t_i)
+            - (|coef - mu|^2 - |s.coef - mu|^2) / 2
+
+    holds on every row, whether or not its rectifier changes sign; rows
+    whose links do not move add zero.
+    """
+    l0 = s.link
+    l1 = frelu(s.design @ coef, state.hp.eps_frelu)
+    loss = float(np.sum((l1 - l0) * (w * (l1 + l0) - 2.0 * t)))
+    prior = float(np.sum((coef - s.mu) ** 2)) - float(np.sum((s.coef - s.mu) ** 2))
+    return state.neg_a_half * loss - 0.5 * prior
+
+
 def _update_coef(state: InnerState, s: _Side) -> InnerState:
     """Newton update of the coefficient vector, or no move.
 
-    Restricted to rows with positive linear score and columns with effective
-    loading.  Solves the ridge-regularized normal equations of the quadratic
-    surrogate (the prior ridge keeps them nonsingular).  The Newton point is
-    certified when no rectifier sign changes: every row keeps the sign of its
-    linear score, so the cells are affine in the coefficients on the rows it
-    models and constant on the others, the surrogate plus the prior minorizes
-    the exact objective, and its maximizer cannot lower it.  It is kept
-    without evaluating the objective.  Otherwise the step is Newton-or-stay:
+    The Newton system is restricted to rows with positive linear score and
+    columns with effective loading.  It solves the ridge-regularized normal
+    equations of the quadratic surrogate (the prior ridge keeps them
+    nonsingular).  The Newton point is certified when no sign changes or the
+    per-row bound is non-negative, otherwise Newton-or-stay:
+
+    - no sign changes: every row keeps the sign of its linear score, so the
+      cells are affine in the coefficients on the rows it models and
+      constant on the others, the surrogate plus the prior minorizes the
+      exact objective, and its maximizer cannot lower it;
+    - a sign changes: :func:`_coef_gain_bound`, the tangent minorant summed
+      over every row at the actual links, bounds the objective's change
+      from below, so a non-negative bound certifies the point.
+
+    A certified point is kept without evaluating the objective.  Otherwise
     the Newton point is kept iff the exact objective does not decrease, and
     else the coefficients stay put.  That check evaluates the objective once
     before the step and once at the Newton point; putting the coefficients
@@ -341,18 +373,20 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     on_axis = (s.design @ s.coef) > 0.0
     if not on_axis.any() or not np.any(s.other_eff != 0):
         return state
-    A, denom, tmp = s.work
-    _scaled_outer(state.eta, s.flags * s.loading, s.other_link * s.other_eff, A)
-    A[~on_axis] = 0.0  # their link is flat in coef; columns without loading have A = 0
-    wvec, tvec = _surrogate_sums(s, state, A, s.link, denom, tmp)
+    _, denom, tmp = s.work
+    w, t = _surrogate_sums(s, state, state.eta * (s.flags * s.loading),
+                           s.other_link * s.other_eff, s.link, denom, tmp)
+    # off-axis links are flat in coef; columns without loading have A = 0
+    wvec, tvec = np.where(on_axis, w, 0.0), np.where(on_axis, t, 0.0)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
-    M = (s.design * wvec[:, None]).T @ s.design + ridge * np.eye(s.design.shape[1])
+    M = (s.design * wvec[:, None]).T @ s.design
+    M.flat[::M.shape[0] + 1] += ridge
     # the on-axis links are x'coef + eps, so the normal equations for x'coef carry t - eps * w
     rhs = s.design.T @ (tvec - hp.eps_frelu * wvec) + ridge * s.mu
     newton = np.linalg.solve(M, rhs)
 
-    # no rectifier sign changes: the Newton point is certified (see above)
-    certified = np.array_equal((s.design @ newton) > 0.0, on_axis)
+    certified = (np.array_equal((s.design @ newton) > 0.0, on_axis)
+                 or _coef_gain_bound(state, s, w, t, newton) >= 0.0)
     j_before = None if certified else inner_logpost(state)
     setattr(state, s.names[2], newton)
     state.refresh_links()

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_hp, make_side, strong_multiplicative_instance
 from xfile.model import ObservedMatrix, SideInfo, Transform, materialize
-from xfile.optimizer import fit, inner_logpost, predict_matrix
+from xfile.optimizer import fit, fit_contribution, inner_logpost, predict_matrix
 from xfile.shrinkage import ShrinkageParams
 
 
@@ -212,6 +212,24 @@ class TestReproducibility:
         np.testing.assert_array_equal(r1.logpost_trace, r2.logpost_trace)
         for a, b in zip(r1.contributions, r2.contributions):
             np.testing.assert_array_equal(a.u_tilde, b.u_tilde)
+
+    def test_unobserved_residual_cells_are_never_read(self, rng):
+        # fit_contribution checks only the observed cells for finiteness
+        side = make_side(10, 10, 2, 2, rng)
+        residual = rng.standard_normal((10, 10)) + 2.0 * np.outer(
+            rng.standard_normal(10), rng.standard_normal(10)
+        )
+        mask = rng.random((10, 10)) > 0.25
+        hp = make_hp(n_restarts=2, max_inner_iters=30)
+        zero, nan = (
+            fit_contribution(np.where(mask, residual, fill), side, hp, 1,
+                             np.random.default_rng(3), mask=mask)
+            for fill in (0.0, np.nan)
+        )
+        np.testing.assert_array_equal(zero.trace, nan.trace)
+        for name in ("u_tilde", "psi_tilde", "beta", "v_tilde", "phi_tilde", "gamma"):
+            np.testing.assert_array_equal(getattr(zero.candidate, name),
+                                          getattr(nan.candidate, name))
 
 
 class TestErrors:

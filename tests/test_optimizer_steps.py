@@ -281,13 +281,69 @@ def _coef_and_design(state, step):
     return ("beta", state.side.x) if step is step_beta else ("gamma", state.side.w)
 
 
+def _bound(state, step, coef, on_axis_only=False):
+    """``optimizer._coef_gain_bound`` at ``coef``, fed the per-row surrogate
+    sums of every row from allocating formulas (of the on-axis rows only,
+    zero elsewhere, with ``on_axis_only``)."""
+    s = optimizer._rows(state) if step is step_beta else optimizer._columns(state)
+    A = state.eta * np.outer(s.flags * s.loading, s.other_link * s.other_eff)
+    denom = 2.0 * state.hp.b_sigma + (s.ztilde - A * s.link[:, None]) ** 2
+    w = np.where(s.unobserved, 0.0, A * A / denom).sum(axis=1)
+    t = np.where(s.unobserved, 0.0, A * s.ztilde / denom).sum(axis=1)
+    if on_axis_only:
+        on_axis = s.design @ s.coef > 0.0
+        w, t = np.where(on_axis, w, 0.0), np.where(on_axis, t, 0.0)
+    return optimizer._coef_gain_bound(state, s, w, t, coef)
+
+
+def _exact_change(state, name, coef):
+    """J(coef) - J(current) from the validated objective."""
+    trial = copy.copy(state)
+    setattr(trial, name, coef)
+    trial.refresh_links()
+    return validated_objective(trial) - validated_objective(state)
+
+
+class TestCoefGainBound:
+    @pytest.mark.parametrize("full_mask", [True, False])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("step", [step_beta, step_gamma])
+    def test_bounds_the_exact_change_of_sign_switching_proposals(self, step, eps, full_mask):
+        # proposals that switch some rows on-axis and others off-axis; the
+        # sums of the on-axis rows alone (the Newton system's surrogate) miss
+        # the off-axis rows and overshoot the exact change somewhere
+        overshoots = 0
+        for seed in range(6):
+            rng = np.random.default_rng(1000 + seed)
+            state = random_state(rng, n=9, p=8, q_x=3, q_w=3, hp=make_hp(eps_frelu=eps),
+                                 full_mask=full_mask)
+            state.beta[0] = state.gamma[0] = 0.0  # no intercept: rows on both sides of the axis
+            state.refresh_links()
+            name, X = _coef_and_design(state, step)
+            coef = getattr(state, name)
+            on_axis = X @ coef > 0.0
+            slack = 1e-9 * max(1.0, abs(validated_objective(state)))
+            proposals = (coef + 1.5 * rng.standard_normal(coef.size) for _ in range(200))
+            switching = [c for c in proposals
+                         if np.any(on_axis & (X @ c <= 0.0)) and np.any(~on_axis & (X @ c > 0.0))]
+            assert len(switching) >= 5
+            for proposal in switching[:5]:
+                change = _exact_change(state, name, proposal)
+                assert _bound(state, step, proposal) <= change + slack
+                overshoots += _bound(state, step, proposal, on_axis_only=True) > change + slack
+        assert overshoots > 0
+
+
 class TestRejectedNewtonPoint:
+    SEEDS = {step_beta: (803, 809, 815, 821, 841), step_gamma: (800, 808, 814, 818, 827)}
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("step", [step_beta, step_gamma])
     def test_rejected_newton_point_stays_without_reevaluating(self, monkeypatch, step, seed):
-        # on these states the Newton point flips a rectifier sign, so the step
-        # checks it against the exact objective
-        rng = np.random.default_rng((800, 803, 804, 805, 806)[seed])
+        # on these states the Newton point flips a rectifier sign and the
+        # per-row bound is negative, so the step checks it against the exact
+        # objective
+        rng = np.random.default_rng(self.SEEDS[step][seed])
         state = random_state(rng, n=7, p=6, q_x=3, q_w=3, sparse_frac=0.0)
         name, X = _coef_and_design(state, step)
         j_before = inner_logpost(state)
@@ -307,7 +363,39 @@ class TestRejectedNewtonPoint:
         assert not np.array_equal(X @ calls[1] > 0.0, X @ before[name] > 0.0)
         for key, value in before.items():
             np.testing.assert_array_equal(getattr(state, key), value)
+        assert _bound(state, step, calls[1]) < 0.0
         assert inner_logpost(state) == j_before
+
+
+class TestBoundCertifiedNewtonPoint:
+    @pytest.mark.parametrize("seed", [804, 811])
+    @pytest.mark.parametrize("full_mask", [True, False])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("step", [step_beta, step_gamma])
+    def test_sign_flipping_newton_point_is_kept_unevaluated(self, monkeypatch, step, h, eps,
+                                                           full_mask, seed):
+        # the Newton point flips a rectifier sign, but the per-row bound is
+        # non-negative: no exact evaluation, and no fall
+        state = random_state(np.random.default_rng(seed), n=7, p=6, q_x=3, q_w=3,
+                             hp=make_hp(eps_frelu=eps), sparse_frac=0.0, h=h,
+                             full_mask=full_mask)
+        name, X = _coef_and_design(state, step)
+        before = copy.deepcopy(state)
+        j_before = inner_logpost(state)
+        calls = []
+
+        def counted(s):
+            calls.append(None)
+            return inner_logpost(s)
+
+        monkeypatch.setattr(optimizer, "inner_logpost", counted)
+        step(state)
+        kept = getattr(state, name)
+        assert calls == []
+        assert not np.array_equal(X @ kept > 0.0, X @ getattr(before, name) > 0.0)
+        assert _bound(before, step, kept) >= 0.0
+        assert inner_logpost(state) >= j_before - 1e-10 * max(1.0, abs(j_before))
 
 
 class TestCertifiedNewtonPoint:
