@@ -1,12 +1,12 @@
 """CSV ingestion, model persistence, and analysis exports.
 
-Matrix CSV format: comma-separated reals, optional header row, empty field =
-missing cell.  :func:`save_matrix` is the one writer of that format, for
-inputs, model files, fitted values and exports alike: ``%.17g`` cells, one
-LF-terminated line per row.  Side-information CSVs must not include the
-intercept column; it is prepended on load.  A fitted model is persisted as
-one CSV per parameter family plus a versioned manifest ("xfile-model/1"), so
-it stays inspectable and diff-able.
+Matrix CSV format: comma-separated cells that ``float`` reads, optionally
+quoted, an optional header row, an empty field for a missing cell.  Every
+matrix file, model files included, is read by :func:`_parse_rows`, whose parse
+errors give a 1-based row and column, and written by :func:`save_matrix`:
+``%.17g`` cells, one LF-ended line per row.  Side-information CSVs omit the
+intercept column; it is prepended on load.  A fitted model is one CSV per
+parameter family plus a versioned manifest ("xfile-model/1"), diff-able text.
 """
 
 import csv
@@ -53,14 +53,26 @@ class MatrixParseError(ValueError):
 
 def _parse_rows(path, has_header: bool):
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if has_header and rows:
-        rows = rows[1:]
+        reader = csv.reader(fh)
+        if has_header:
+            next(reader, None)  # the header record, which may span lines
+        lines = fh.readlines()
+        if lines and lines[0].strip():  # loadtxt warns if every line is blank
+            try:
+                values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if values.shape[0] == len(lines):  # loadtxt skips blank lines
+                    return values, np.ones(values.shape, dtype=bool)
+        del lines  # csv.reader streams the file; it alone reads empty or quoted cells
+        fh.seek(0)
+        rows = list(reader)[int(has_header):]
     if not rows:
         raise MatrixParseError(f"{path}: no data rows")
     width = len(rows[0])
     offset = 2 if has_header else 1
-    values = np.empty((len(rows), width))
+    values = np.full((len(rows), width), np.nan)  # an empty field stays NaN
     mask = np.ones((len(rows), width), dtype=bool)
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -70,7 +82,6 @@ def _parse_rows(path, has_header: bool):
         for j, cell in enumerate(row):
             cell = cell.strip()
             if cell == "":
-                values[i, j] = np.nan
                 mask[i, j] = False
                 continue
             try:
@@ -80,6 +91,14 @@ def _parse_rows(path, has_header: bool):
                     f"{path}: row {i + offset}, column {j + 1}: not a number: {cell!r}"
                 ) from exc
     return values, mask
+
+
+def _complete(path, has_header: bool, what: str) -> np.ndarray:
+    values, mask = _parse_rows(path, has_header)
+    if not mask.all():
+        i, j = np.argwhere(~mask)[0]
+        raise MatrixParseError(f"{path}: missing {what} at row {i + 1 + has_header}, column {j + 1}")
+    return values
 
 
 def load_matrix(path, has_header: bool = False,
@@ -115,10 +134,7 @@ def load_side_info(x_path, w_path, n: int, p: int, has_header: bool = False) -> 
     def _load(path, rows, name):
         if path is None:
             return np.ones((rows, 1))
-        values, mask = _parse_rows(path, has_header)
-        if not mask.all():
-            i, j = np.argwhere(~mask)[0]
-            raise MatrixParseError(f"{path}: missing {name} value at row {i + 1}, column {j + 1}")
+        values = _complete(path, has_header, f"{name} value")
         if values.shape[0] != rows:
             raise MatrixParseError(f"{path}: expected {rows} rows, found {values.shape[0]}")
         return np.column_stack([np.ones(rows), values])
@@ -177,15 +193,9 @@ def load_model(model_dir) -> tuple[FitResult, SideInfo, Transform, float]:
         raise ValueError(f"{model / 'manifest.json'}: no {exc} entry") from exc
 
     def _read(name, shape):
-        path = model / name
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty file fails the shape check
-                values = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        values = _complete(model / name, False, "value")
         if values.shape != shape:
-            raise ValueError(f"{path}: shape {values.shape} does not match {shape} "
+            raise ValueError(f"{model / name}: shape {values.shape} does not match {shape} "
                              f"from manifest.json")
         return values
 

@@ -36,11 +36,12 @@ TAIL_MASS_TARGET = 1e-4
 
 
 def _check_numbers(obj, counts: tuple, reals: tuple) -> None:
-    """Raises ValueError naming a non-integer count or non-numeric real (bools are neither)."""
-    for names, kind, what in ((counts, Integral, "an integer"), (reals, Real, "a number")):
+    """Raises ValueError naming a non-integer count or a non-numeric or
+    non-finite real (bools are neither)."""
+    for names, kind, what in ((counts, Integral, "an integer"), (reals, Real, "a finite number")):
         for name in names:
             value = getattr(obj, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if isinstance(value, bool) or not isinstance(value, kind) or not -inf < value < inf:
                 raise ValueError(f"{name} must be {what}, got {value!r}")
 
 

@@ -2,10 +2,14 @@
 
 import io
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import fit_result, make_hp, make_side, random_contribution
 from xfile.cli import main
@@ -32,7 +36,76 @@ from xfile.optimizer import fit
 from xfile.shrinkage import ShrinkageParams
 
 
+# Matrix CSVs at the edges of the format: (file text, has_header, what
+# load_matrix gives), either the rows read, None for an empty field, or the
+# error raised, whose message follows the file's path for a MatrixParseError.
+# No case may warn.
+EDGE_CASES = {
+    "blank-line": ("1,2\n\n3,4\n", False, MatrixParseError("row 2 has 0 fields, expected 2")),
+    "blank-last-line": ("1,2\n3,4\n\n", False,
+                        MatrixParseError("row 3 has 0 fields, expected 2")),
+    "whitespace-line": ("a,b\n1,2\n \t\n", True,
+                        MatrixParseError("row 3 has 1 fields, expected 2")),
+    "quoted-empty": ('1,""\n3,4\n', False, [[1.0, None], [3.0, 4.0]]),
+    "quoted-number": ('"1.5",2\n', False, [[1.5, 2.0]]),
+    "underscore": ("1_0,2\n", False, [[10.0, 2.0]]),
+    "fullwidth-digit": ("\uff11,2\n", False, [[1.0, 2.0]]),
+    "cr-endings": ("1,2\r3,4\r", False, [[1.0, 2.0], [3.0, 4.0]]),
+    "crlf-endings": ("a,b\r\n1,2\r\n3,4\r\n", True, [[1.0, 2.0], [3.0, 4.0]]),
+    "hash": ("#1,2\n", False, MatrixParseError("row 1, column 1: not a number: '#1'")),
+    "inline-hash": ("1,2#3\n", False, MatrixParseError("row 1, column 2: not a number: '2#3'")),
+    "blank-lines-only": ("\n\n", False, ValueError("observation mask has no observed cells")),
+    "trailing-comma": ("1,2,\n3,4,\n", False, [[1.0, 2.0, None], [3.0, 4.0, None]]),
+    "ragged": ("a,b\n1,2\n3\n", True, MatrixParseError("row 3 has 1 fields, expected 2")),
+    "empty": ("", False, MatrixParseError("no data rows")),
+    "header-only": ("a,b\n", True, MatrixParseError("no data rows")),
+    "form-feed": ("\f1,2\n3,4\f\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+    "infinity": ("Infinity,1\n", False, ValueError("observed values contain non-finite entries")),
+    "no-final-newline": ("1,2\n3,4", False, [[1.0, 2.0], [3.0, 4.0]]),
+    "quoted-header": ('"a","b"\n1,2\n', True, [[1.0, 2.0]]),
+    "header-spans-lines": ('"a\n1,2\n",b\n3,4\n', True, [[3.0, 4.0]]),
+    "header-unclosed-quote": ('"a\n1,2\n', True, MatrixParseError("no data rows")),
+    "missing-in-last-row": ("1,2\n3,4\n5,\n", False, [[1.0, 2.0], [3.0, 4.0], [5.0, None]]),
+    "bad-cell-after-header": ("a,b\n1,2\n3,x\n", True,
+                              MatrixParseError("row 3, column 2: not a number: 'x'")),
+}
+
+
 class TestLoadMatrix:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, has_header, expected", EDGE_CASES.values(),
+                             ids=EDGE_CASES.keys())
+    def test_edge_cases(self, tmp_path, text, has_header, expected):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, Exception):
+            message = f"{path}: {expected}" if isinstance(expected, MatrixParseError) else expected
+            with pytest.raises(ValueError, match=f"^{re.escape(str(message))}$") as info:
+                load_matrix(path, has_header)
+            assert type(info.value) is type(expected)
+            return
+        data = load_matrix(path, has_header)
+        mask = np.array([[cell is not None for cell in row] for row in expected])
+        np.testing.assert_array_equal(data.mask, mask)
+        np.testing.assert_array_equal(
+            data.values[mask], [cell for row in expected for cell in row if cell is not None])
+
+    @given(values=hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)),
+           holes=st.booleans(), has_header=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_any_shape(self, tmp_path_factory, values, holes, has_header, data):
+        mask = data.draw(hnp.arrays(bool, values.shape)) if holes else np.ones(values.shape, bool)
+        assume(mask.any())
+        path = tmp_path_factory.mktemp("roundtrip") / "m.csv"
+        save_matrix(path, values, mask if holes else None)
+        if has_header:
+            path.write_text(",".join(f"c{j}" for j in range(values.shape[1])) + "\n"
+                            + path.read_text())
+        back = load_matrix(path, has_header)
+        np.testing.assert_array_equal(back.mask, mask)
+        assert back.values[mask].tobytes() == values[mask].tobytes()
+
     def test_missing_cell(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,\n")
@@ -77,6 +150,15 @@ class TestLoadMatrix:
         np.testing.assert_array_equal(side.x[:, 0], np.ones(4))
         np.testing.assert_array_equal(side.x[:, 1:], x)
         assert side.w.shape == (6, 1)
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_side_info_missing_cell_located(self, tmp_path, has_header):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n" * has_header + "1,2\n3,4\n5,\n")
+        row = 4 if has_header else 3
+        with pytest.raises(MatrixParseError, match=re.escape(
+                f"{path}: missing covariate value at row {row}, column 2")):
+            load_side_info(path, None, 3, 6, has_header=has_header)
 
 
 def _savetxt(values) -> bytes:
@@ -172,6 +254,19 @@ class TestModelPersistence:
         for name in names:
             first, second = ((tmp_path / d / name).read_bytes() for d in "ab")
             assert second == first, name
+
+    def test_empty_field_located(self, tmp_path, rng):
+        n, p = 6, 5
+        save_model(tmp_path, fit_result([random_contribution(n, p, 2, 3, rng)], np.zeros((n, p))),
+                   make_side(n, p, 2, 3, rng), Transform.IDENTITY, 0.0)
+        path = tmp_path / "w.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[2].split(",")
+        lines[2] = ",".join(cells[:1] + [""] + cells[2:])
+        path.write_text("".join(lines))
+        with pytest.raises(MatrixParseError,
+                           match=re.escape(f"{path}: missing value at row 3, column 2")):
+            load_model(tmp_path)
 
     def test_fit_outputs_written(self, tmp_path, rng):
         result, side, data, hp = _small_fit(rng)
@@ -521,7 +616,9 @@ class TestCli:
     @pytest.mark.parametrize("config", [{"max_factors": 2.5}, {"tol": "1e-8"},
                                         {"n_restarts": 1.5}, {"seed": True},
                                         {"alpha": "5", "delta": False}, {"delta": False},
-                                        {"alpha": True}, {"alpha": "abc"}, {"seed": -1}])
+                                        {"alpha": True}, {"alpha": "abc"}, {"seed": -1},
+                                        {"eps_frelu": float("nan")}, {"alpha": float("inf")},
+                                        {"b_sigma": float("inf")}])
     def test_fit_malformed_hyperparams(self, tmp_path, capsys, config):
         data_path = tmp_path / "d.csv"
         save_matrix(data_path, np.ones((4, 3)))
@@ -537,7 +634,7 @@ class TestCli:
     @pytest.mark.parametrize("flag,config", [
         ("--scenario", {"n": "12"}), ("--scenario", {"n_replicates": 1.5}),
         ("--scenario", {"noise_sd": "1"}), ("--config", {"max_inner_iters": True}),
-        ("--scenario", {"seed": -1}),
+        ("--scenario", {"seed": -1}), ("--scenario", {"noise_sd": float("inf")}),
     ])
     def test_simulate_malformed_inputs(self, tmp_path, capsys, flag, config):
         paths = {}
