@@ -68,7 +68,7 @@ def _parse_rows(path, has_header: bool):
         del lines  # csv.reader streams the file; it alone reads empty or quoted cells
         fh.seek(0)
         rows = list(reader)[int(has_header):]
-    if not rows:
+    if not any(rows):  # no rows, or blank lines only
         raise MatrixParseError(f"{path}: no data rows")
     width = len(rows[0])
     offset = 2 if has_header else 1
@@ -93,18 +93,21 @@ def _parse_rows(path, has_header: bool):
     return values, mask
 
 
-def _complete(path, has_header: bool, what: str) -> np.ndarray:
-    values, mask = _parse_rows(path, has_header)
-    if not mask.all():
-        i, j = np.argwhere(~mask)[0]
-        raise MatrixParseError(f"{path}: missing {what} at row {i + 1 + has_header}, column {j + 1}")
-    return values
+def _reject(path, has_header: bool, bad: np.ndarray, what: str) -> None:
+    """Raises on the first cell of ``bad``, at its 1-based row and column."""
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise MatrixParseError(f"{path}: {what} at row {i + 1 + has_header}, column {j + 1}")
 
 
 def load_matrix(path, has_header: bool = False,
                 transform: Transform = Transform.IDENTITY) -> ObservedMatrix:
-    """Reads a data matrix; empty fields become unobserved cells."""
+    """Reads a data matrix; empty fields become unobserved cells.  An observed
+    cell that is not finite or, under truncation, negative is located."""
     values, mask = _parse_rows(path, has_header)
+    _reject(path, has_header, mask & ~np.isfinite(values), "non-finite value")
+    if transform == Transform.NONNEG_TRUNCATION:
+        _reject(path, has_header, mask & (values < 0.0), "negative value under truncation")
     return ObservedMatrix(values=values, mask=mask, transform=transform)
 
 
@@ -134,7 +137,8 @@ def load_side_info(x_path, w_path, n: int, p: int, has_header: bool = False) -> 
     def _load(path, rows, name):
         if path is None:
             return np.ones((rows, 1))
-        values = _complete(path, has_header, f"{name} value")
+        values, mask = _parse_rows(path, has_header)
+        _reject(path, has_header, ~mask, f"missing {name} value")
         if values.shape[0] != rows:
             raise MatrixParseError(f"{path}: expected {rows} rows, found {values.shape[0]}")
         return np.column_stack([np.ones(rows), values])
@@ -193,7 +197,8 @@ def load_model(model_dir) -> tuple[FitResult, SideInfo, Transform, float]:
         raise ValueError(f"{model / 'manifest.json'}: no {exc} entry") from exc
 
     def _read(name, shape):
-        values = _complete(model / name, False, "value")
+        values, mask = _parse_rows(model / name, False)
+        _reject(model / name, False, ~mask, "missing value")
         if values.shape != shape:
             raise ValueError(f"{model / name}: shape {values.shape} does not match {shape} "
                              f"from manifest.json")

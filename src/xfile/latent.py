@@ -54,5 +54,4 @@ def initial_latent(data: ObservedMatrix) -> np.ndarray:
     Under the truncation transform observed zeros start at latent 0, the
     boundary of their feasible range before any factor is fitted.
     """
-    latent = np.where(data.mask, data.values, 0.0)
-    return np.asarray(latent, dtype=float)
+    return np.where(data.mask, data.values, 0.0)

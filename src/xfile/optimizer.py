@@ -33,9 +33,10 @@ take the second way when no row changes the sign of its linear score or the
 per-row bound, which sums the tangent minorant over every row, is
 non-negative, and the third otherwise (Newton-or-stay).
 
-The exact objective (:func:`inner_logpost`) is summed straight from the
-candidate's arrays; :class:`InnerState` holds them with the constants it
-caches and the workspace the steps write into.
+An unobserved cell has infinite scale 2 b_sigma: zero loss, zero surrogate
+weight, so no step masks.  The exact objective (:func:`inner_logpost`) is
+summed straight from the candidate's arrays; :class:`InnerState` holds them
+with the constants it caches and the workspace the steps write into.
 """
 
 from dataclasses import dataclass
@@ -84,24 +85,24 @@ __all__ = [
 class InnerState:
     """Mutable candidate state for one factor's coordinate ascent.
 
-    ``ztilde`` is the latent residual after subtracting previously accepted
-    factors.  ``fx`` and ``gw`` cache the link values frelu(x'beta) and
-    frelu(w'gamma); :meth:`refresh_links` recomputes them and must follow
-    every change of ``beta`` or ``gamma``.
+    ``ztilde`` is the state's copy of the latent residual after subtracting
+    accepted factors, 0 at unobserved cells.  ``fx`` and ``gw`` cache the
+    link values frelu(x'beta) and frelu(w'gamma); :meth:`refresh_links`
+    recomputes them and must follow every change of ``beta`` or ``gamma``.
 
-    ``side``, ``hp`` and ``h`` are fixed for the life of the state, and the
-    constants of the objective that follow from them are cached when it is
-    built: the coefficient prior means ``mu_b``/``mu_g``, ``log_q`` =
-    log Pr(rho_h = 1), ``neg_a_half`` = -(a_sigma + 1/2) and ``two_b`` =
-    2 b_sigma.  ``off_loss`` = log1p(ztilde^2 / two_b) is the per-cell loss
-    (over -(a_sigma + 1/2)) of the residual with the candidate switched
-    off.  Both arrays are written only here and, at the observed zeros of
-    truncated data, by the latent refresh of :func:`run_inner`.  ``mask``
-    is fixed too, and so is ``unobserved``, its complement.
+    ``side``, ``hp``, ``h`` and ``mask`` are fixed for the life of the
+    state, and the constants of the objective that follow from them are
+    cached when it is built: the coefficient prior means ``mu_b``/``mu_g``,
+    ``log_q`` = log Pr(rho_h = 1), ``neg_a_half`` = -(a_sigma + 1/2),
+    ``two_b`` = 2 b_sigma and ``scale``, 2 b_sigma per cell (``two_b`` or an
+    n x p array, +inf where unobserved).  ``off_loss`` = log1p(ztilde^2 /
+    two_b) is the per-cell loss (over -(a_sigma + 1/2)) of the residual with
+    the candidate switched off.  Both arrays are written only here and, at
+    the observed zeros of truncated data, by :func:`run_inner`'s latent refresh.
 
     The state owns the workspace of its steps, allocated here, so that no
     step and no objective evaluation allocates an n x p array: ``_work``
-    holds three n x p float buffers and ``_work_t`` their transposed views,
+    holds two n x p float buffers and ``_work_t`` their transposed views,
     which the column steps use.  Every step and every objective evaluation
     may overwrite the workspace, so no value in it outlives the call that
     wrote it.  When some cells are unobserved, :func:`inner_logpost`
@@ -112,7 +113,6 @@ class InnerState:
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
         self.mask = np.asarray(mask, bool)
-        self.unobserved = ~self.mask
         self.side = side
         self.hp = hp
         self.h = h
@@ -121,7 +121,7 @@ class InnerState:
         self.log_q = log(prob_active(h, hp.shrink))
         self.neg_a_half = -(hp.a_sigma + 0.5)
         self.two_b = 2.0 * hp.b_sigma
-        self.ztilde = np.asarray(ztilde, dtype=float)
+        self.ztilde = np.where(self.mask, ztilde, 0.0)
         self.off_loss = _log1p_sq(self.ztilde, self.two_b)
         self.u = np.asarray(u, dtype=float)
         self.psi = np.asarray(psi, dtype=float)
@@ -132,11 +132,12 @@ class InnerState:
         self.eta = float(eta)
         self.refresh_links()
         n, p = self.mask.shape
-        self._work = tuple(np.empty((n, p)) for _ in range(3))
+        self._work = tuple(np.empty((n, p)) for _ in range(2))
         self._work_t = tuple(buf.T for buf in self._work)
         if self.mask.all():
-            self._observed = None
+            self.scale, self._observed = np.float64(self.two_b), None  # has .T
         else:
+            self.scale = np.where(self.mask, self.two_b, np.inf)
             index = np.flatnonzero(self.mask)
             self._observed = (index, np.empty(index.size))
 
@@ -154,11 +155,11 @@ class InnerState:
         out = np.multiply(a[:, None], b[None, :], out=out)
         return np.multiply(self.eta, out, out=out)
 
-    def candidate(self, rho: int = 1) -> FactorContribution:
+    def candidate(self) -> FactorContribution:
         return FactorContribution(
             u_tilde=self.u.copy(), psi_tilde=self.psi.copy(), beta=self.beta.copy(),
             v_tilde=self.v.copy(), phi_tilde=self.phi.copy(), gamma=self.gamma.copy(),
-            eta=self.eta, rho=rho,
+            eta=self.eta, rho=1,
         )
 
 
@@ -167,7 +168,7 @@ def inner_logpost(state: InnerState) -> float:
     candidate's log prior (activation term included, rho = 1).
 
     Equal, bit for bit, to ``cell_marginal_loglik`` summed over the masked
-    residual plus ``log_prior_contribution(state.candidate(1), ...)``, but
+    residual plus ``log_prior_contribution(state.candidate(), ...)``, but
     read from the state's arrays and cached constants.
     """
     resid = state.cells(out=state._work[0])
@@ -189,7 +190,7 @@ class _Side(NamedTuple):
 
     ztilde: np.ndarray
     off_loss: np.ndarray   # the state's off_loss in this orientation
-    unobserved: np.ndarray
+    scale: np.ndarray      # the state's scale in this orientation
     design: np.ndarray
     mu: np.ndarray         # prior mean of the coefficients
     zeta: float
@@ -209,7 +210,7 @@ class _Side(NamedTuple):
 
 
 def _rows(state: InnerState) -> _Side:
-    return _Side(state.ztilde, state.off_loss, state.unobserved, state.side.x, state.mu_b,
+    return _Side(state.ztilde, state.off_loss, state.scale, state.side.x, state.mu_b,
                  state.hp.zeta_n, 1.0, state.fx, state.u, state.psi, state.beta,
                  state.gw, state.phi * state.v, state._work, ("u", "psi", "beta"))
 
@@ -219,21 +220,20 @@ def _columns(state: InnerState) -> _Side:
     # so every (p, n) temporary keeps ztilde's layout and its row sums add
     # in the order of an axis-0 sum (a C-ordered (p, n) buffer would sum
     # pairwise).
-    return _Side(state.ztilde.T, state.off_loss.T, state.unobserved.T, state.side.w,
+    return _Side(state.ztilde.T, state.off_loss.T, state.scale.T, state.side.w,
                  state.mu_g, state.hp.zeta_p, state.eta, state.gw, state.v, state.phi,
                  state.gamma, state.fx, state.psi * state.u, state._work_t,
                  ("v", "phi", "gamma"))
 
 
-def _surrogate_sums(s: _Side, state: InnerState, ra, cb, at, denom, tmp):
-    """Per-row sums w = sum_j A^2 / D and t = sum_j A ztilde / D over the
-    observed cells of the rank-one A = outer(ra, cb), with the surrogate
-    denominator D = 2b + r^2 at the tangent residual r = ztilde - A * at (one
-    tangent value per row).  Cells with A = 0 add zero, since D >= 2b > 0.
+def _surrogate_sums(s: _Side, ra, cb, at):
+    """Per-row sums w = sum_j A^2 / D and t = sum_j A ztilde / D of the
+    rank-one A = outer(ra, cb), with the surrogate denominator D = 2b + r^2
+    at the tangent residual r = ztilde - A * at (one tangent value per row).
+    Cells with A = 0 add zero (D >= 2b > 0), as do unobserved cells (2b = inf).
 
-    A is never formed: the weights 1/D, zero on the unobserved cells, are
-    computed once into ``denom``, and w = ra^2 * (1/D @ cb^2) and
-    t = ra * ((ztilde / D) @ cb).  Overwrites ``denom`` and ``tmp``.
+    A is never formed: w = ra^2 * (1/D @ cb^2) and t = ra * ((ztilde / D) @
+    cb), with 1/D computed once.  Overwrites the second workspace buffer.
 
     The loading step solves its surrogate from these sums.  The coefficient
     step feeds its Newton system the on-axis rows' sums, and the sums of
@@ -241,23 +241,20 @@ def _surrogate_sums(s: _Side, state: InnerState, ra, cb, at, denom, tmp):
     when no sign changes or the per-row bound is non-negative, otherwise
     Newton-or-stay.
     """
+    denom = s.work[1]
     np.outer(ra * at, cb, out=denom)
     np.subtract(s.ztilde, denom, out=denom)
-    np.add(state.two_b, np.square(denom, out=denom), out=denom)
+    np.add(s.scale, np.square(denom, out=denom), out=denom)
     np.divide(1.0, denom, out=denom)
-    denom[s.unobserved] = 0.0
     w = ra * ra * (denom @ (cb * cb))
-    np.multiply(denom, s.ztilde, out=tmp)
-    tmp[s.unobserved] = 0.0  # ztilde need not be finite there
-    return w, ra * (tmp @ cb)
+    return w, ra * (np.multiply(denom, s.ztilde, out=denom) @ cb)
 
 
 def _masked_loglik_delta(s: _Side, state: InnerState, cells_on: np.ndarray) -> np.ndarray:
     """Per-row sums of the loss gain of switching each row's block on:
     loss(ztilde) - loss(ztilde - cells_on).  Overwrites ``cells_on``."""
-    gain = _log1p_sq(np.subtract(s.ztilde, cells_on, out=cells_on), state.two_b, out=cells_on)
+    gain = _log1p_sq(np.subtract(s.ztilde, cells_on, out=cells_on), s.scale, out=cells_on)
     np.subtract(s.off_loss, gain, out=gain)
-    gain[s.unobserved] = 0.0
     return (state.hp.a_sigma + 0.5) * gain.sum(axis=1)
 
 
@@ -283,11 +280,10 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
     hp = state.hp
     if not np.any(s.other_eff != 0):
         return state
-    cells_on, denom, tmp = s.work
     ra = (state.eta / s.c) * s.link
     cb = s.other_link * s.other_eff
     scaled = s.loading * s.c
-    w, wz = _surrogate_sums(s, state, ra, cb, scaled, denom, tmp)
+    w, wz = _surrogate_sums(s, ra, cb, scaled)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5) * s.c**2)
     prop = wz / (w + ridge)
 
@@ -295,7 +291,7 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
     new = np.where(inactive, scaled, prop)
     flags = s.flags
     if inactive.any():
-        d_lik = _masked_loglik_delta(s, state, np.outer(ra * prop, cb, out=cells_on))
+        d_lik = _masked_loglik_delta(s, state, np.outer(ra * prop, cb, out=s.work[0]))
         d_post = (
             log(s.zeta / (1.0 - s.zeta))
             + d_lik
@@ -373,9 +369,8 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     on_axis = (s.design @ s.coef) > 0.0
     if not on_axis.any() or not np.any(s.other_eff != 0):
         return state
-    _, denom, tmp = s.work
-    w, t = _surrogate_sums(s, state, state.eta * (s.flags * s.loading),
-                           s.other_link * s.other_eff, s.link, denom, tmp)
+    w, t = _surrogate_sums(s, state.eta * (s.flags * s.loading), s.other_link * s.other_eff,
+                           s.link)
     # off-axis links are flat in coef; columns without loading have A = 0
     wvec, tvec = np.where(on_axis, w, 0.0), np.where(on_axis, t, 0.0)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
@@ -582,11 +577,11 @@ def fit_contribution(
     best = None
     for child in rng.spawn(hp.n_restarts):
         sub_rng = np.random.default_rng(child)
-        state = _draw_initial_state(residual.copy(), mask, side, hp, h, sub_rng)
+        state = _draw_initial_state(residual, mask, side, hp, h, sub_rng)
         trace = run_inner(state, zeros, fitted_prev, inner_callback)
         if best is None or trace[-1] > best.trace[-1]:
             best = InnerFit(
-                candidate=state.candidate(rho=1),
+                candidate=state.candidate(),
                 trace=trace,
                 z_tilde=state.ztilde,
             )

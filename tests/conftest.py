@@ -92,7 +92,7 @@ def validated_objective(state):
     hp = state.hp
     resid = (state.ztilde - state.cells())[state.mask]
     return (float(np.sum(cell_marginal_loglik(resid, hp.a_sigma, hp.b_sigma)))
-            + log_prior_contribution(state.candidate(1), state.side, hp, state.h))
+            + log_prior_contribution(state.candidate(), state.side, hp, state.h))
 
 
 def exact_row_loss(ztilde, A, u, a_sigma: float, b_sigma: float) -> float:

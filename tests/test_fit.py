@@ -214,22 +214,24 @@ class TestReproducibility:
             np.testing.assert_array_equal(a.u_tilde, b.u_tilde)
 
     def test_unobserved_residual_cells_are_never_read(self, rng):
-        # fit_contribution checks only the observed cells for finiteness
+        # fit_contribution checks only the observed cells for finiteness, and
+        # a huge fill would overflow (a RuntimeWarning, an error here) if read
         side = make_side(10, 10, 2, 2, rng)
         residual = rng.standard_normal((10, 10)) + 2.0 * np.outer(
             rng.standard_normal(10), rng.standard_normal(10)
         )
         mask = rng.random((10, 10)) > 0.25
         hp = make_hp(n_restarts=2, max_inner_iters=30)
-        zero, nan = (
+        zero, *filled = (
             fit_contribution(np.where(mask, residual, fill), side, hp, 1,
                              np.random.default_rng(3), mask=mask)
-            for fill in (0.0, np.nan)
+            for fill in (0.0, np.nan, 1e200)
         )
-        np.testing.assert_array_equal(zero.trace, nan.trace)
-        for name in ("u_tilde", "psi_tilde", "beta", "v_tilde", "phi_tilde", "gamma"):
-            np.testing.assert_array_equal(getattr(zero.candidate, name),
-                                          getattr(nan.candidate, name))
+        for other in filled:
+            np.testing.assert_array_equal(zero.trace, other.trace)
+            for name in ("u_tilde", "psi_tilde", "beta", "v_tilde", "phi_tilde", "gamma"):
+                np.testing.assert_array_equal(getattr(zero.candidate, name),
+                                              getattr(other.candidate, name))
 
 
 class TestErrors:

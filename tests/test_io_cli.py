@@ -54,13 +54,16 @@ EDGE_CASES = {
     "crlf-endings": ("a,b\r\n1,2\r\n3,4\r\n", True, [[1.0, 2.0], [3.0, 4.0]]),
     "hash": ("#1,2\n", False, MatrixParseError("row 1, column 1: not a number: '#1'")),
     "inline-hash": ("1,2#3\n", False, MatrixParseError("row 1, column 2: not a number: '2#3'")),
-    "blank-lines-only": ("\n\n", False, ValueError("observation mask has no observed cells")),
+    "blank-lines-only": ("\n\n", False, MatrixParseError("no data rows")),
+    "blank-lines-after-header": ("a,b\n\n\n", True, MatrixParseError("no data rows")),
     "trailing-comma": ("1,2,\n3,4,\n", False, [[1.0, 2.0, None], [3.0, 4.0, None]]),
     "ragged": ("a,b\n1,2\n3\n", True, MatrixParseError("row 3 has 1 fields, expected 2")),
     "empty": ("", False, MatrixParseError("no data rows")),
     "header-only": ("a,b\n", True, MatrixParseError("no data rows")),
     "form-feed": ("\f1,2\n3,4\f\n", False, [[1.0, 2.0], [3.0, 4.0]]),
-    "infinity": ("Infinity,1\n", False, ValueError("observed values contain non-finite entries")),
+    "infinity": ("Infinity,1\n", False, MatrixParseError("non-finite value at row 1, column 1")),
+    "nan-after-header": ("a,b\n1,2\n3,nan\n", True,
+                         MatrixParseError("non-finite value at row 3, column 2")),
     "no-final-newline": ("1,2\n3,4", False, [[1.0, 2.0], [3.0, 4.0]]),
     "quoted-header": ('"a","b"\n1,2\n', True, [[1.0, 2.0]]),
     "header-spans-lines": ('"a\n1,2\n",b\n3,4\n', True, [[3.0, 4.0]]),
@@ -150,6 +153,22 @@ class TestLoadMatrix:
         np.testing.assert_array_equal(side.x[:, 0], np.ones(4))
         np.testing.assert_array_equal(side.x[:, 1:], x)
         assert side.w.shape == (6, 1)
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_negative_value_located_under_truncation(self, tmp_path, has_header):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n" * has_header + "1,2\n3,\n0,-1\n")
+        assert load_matrix(path, has_header).values[2, 1] == -1.0
+        with pytest.raises(MatrixParseError, match=re.escape(
+                f"{path}: negative value under truncation at row {3 + has_header}, column 2")):
+            load_matrix(path, has_header, Transform.NONNEG_TRUNCATION)
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_side_info_blank_lines_rejected(self, tmp_path, has_header):
+        path = tmp_path / "x.csv"
+        path.write_text("a\n" * has_header + "\n" * 5)
+        with pytest.raises(MatrixParseError, match=re.escape(f"{path}: no data rows")):
+            load_side_info(path, None, 5, 6, has_header=has_header)
 
     @pytest.mark.parametrize("has_header", [False, True])
     def test_side_info_missing_cell_located(self, tmp_path, has_header):
@@ -697,3 +716,21 @@ class TestCli:
         assert main(["fit", "--data", str(tmp_path / "absent.csv"),
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, covariates, flags, expected", [
+        ("1,2\n3,inf\n", None, [], "{data}: non-finite value at row 2, column 2"),
+        ("1,2\n3,-1\n", None, ["--transform", "nonneg"],
+         "{data}: negative value under truncation at row 2, column 2"),
+        ("1,2\n3,4\n", "\n" * 5, [], "{covariates}: no data rows"),
+    ], ids=["non-finite", "negative", "blank-covariates"])
+    def test_fit_bad_input_names_file_and_cell(self, tmp_path, capsys, data, covariates, flags,
+                                               expected):
+        paths = {"data": tmp_path / "d.csv", "covariates": tmp_path / "x.csv"}
+        paths["data"].write_text(data)
+        args = ["fit", "--data", str(paths["data"]), "--out-dir", str(tmp_path / "o")] + flags
+        if covariates is not None:
+            paths["covariates"].write_text(covariates)
+            args += ["--covariates", str(paths["covariates"])]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {expected.format(**paths)}\n"
+        assert not (tmp_path / "o").exists()

@@ -86,6 +86,27 @@ class TestUpdateLatent:
         pos = mask & (values > 0)
         np.testing.assert_array_equal(state.ztilde[pos], (values - fitted_prev)[pos])
 
+    def test_state_never_writes_the_callers_residual(self, rng):
+        # the state refreshes its own copy, which is 0 at the unobserved
+        # cells however large the caller's values there
+        n, p = 9, 7
+        values = np.maximum(rng.standard_normal((n, p)) + 0.3, 0.0)
+        mask = rng.random((n, p)) > 0.2
+        data = ObservedMatrix(values, mask, Transform.NONNEG_TRUNCATION)
+        fitted_prev = 0.5 * np.outer(rng.standard_normal(n), rng.standard_normal(p))
+        ztilde = np.where(mask, initial_latent(data) - fitted_prev, 1e200)
+        given = ztilde.copy()
+        base = random_state(rng, n=n, p=p, hp=make_hp(max_inner_iters=4), h=2)
+        state = InnerState(ztilde=ztilde, mask=mask, side=base.side, hp=base.hp, h=2,
+                           **{k: getattr(base, k) for k in PARAMS})
+        zeros = observed_zeros(data)
+        assert zeros.size and not mask.all()
+        run_inner(state, zeros=zeros, fitted_prev=fitted_prev)
+        assert not np.array_equal(state.ztilde.flat[zeros], given.flat[zeros])
+        np.testing.assert_array_equal(ztilde, given)
+        np.testing.assert_array_equal(state.ztilde[~mask], 0.0)
+        np.testing.assert_array_equal(state.off_loss[~mask], 0.0)
+
 
 class TestApplyTransform:
     def test_identity_copies(self, rng):

@@ -256,7 +256,7 @@ def surrogate_maximizer(state, name):
         bound = np.log1p(r0**2 / two_b) + (r**2 - r0**2) / (two_b + r0**2)
         trial = copy.copy(state)
         setattr(trial, name, coef)
-        prior = log_prior_contribution(trial.candidate(1), state.side, hp, state.h)
+        prior = log_prior_contribution(trial.candidate(), state.side, hp, state.h)
         return (hp.a_sigma + 0.5) * np.sum(bound[mask]) - prior
 
     return minimize(negated, coef0, method="BFGS", jac="3-point", options={"gtol": 1e-10}).x
@@ -286,10 +286,11 @@ def _bound(state, step, coef, on_axis_only=False):
     sums of every row from allocating formulas (of the on-axis rows only,
     zero elsewhere, with ``on_axis_only``)."""
     s = optimizer._rows(state) if step is step_beta else optimizer._columns(state)
+    unobserved = ~(state.mask if step is step_beta else state.mask.T)
     A = state.eta * np.outer(s.flags * s.loading, s.other_link * s.other_eff)
     denom = 2.0 * state.hp.b_sigma + (s.ztilde - A * s.link[:, None]) ** 2
-    w = np.where(s.unobserved, 0.0, A * A / denom).sum(axis=1)
-    t = np.where(s.unobserved, 0.0, A * s.ztilde / denom).sum(axis=1)
+    w = np.where(unobserved, 0.0, A * A / denom).sum(axis=1)
+    t = np.where(unobserved, 0.0, A * s.ztilde / denom).sum(axis=1)
     if on_axis_only:
         on_axis = s.design @ s.coef > 0.0
         w, t = np.where(on_axis, w, 0.0), np.where(on_axis, t, 0.0)

@@ -100,7 +100,7 @@ def test_restarts_never_hold_two_workspaces():
             tracemalloc.stop()
 
     # Later restarts add the winner's kept ztilde (one array); a previous
-    # restart's state still alive would add its whole workspace (three).
+    # restart's state still alive would add its whole workspace (two).
     assert peak(3) - peak(1) < 2.0
 
 
