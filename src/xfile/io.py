@@ -105,6 +105,8 @@ def load_matrix(path, has_header: bool = False,
     """Reads a data matrix; empty fields become unobserved cells.  An observed
     cell that is not finite or, under truncation, negative is located."""
     values, mask = _parse_rows(path, has_header)
+    if not mask.any():
+        raise MatrixParseError(f"{path}: no observed cells")
     _reject(path, has_header, mask & ~np.isfinite(values), "non-finite value")
     if transform == Transform.NONNEG_TRUNCATION:
         _reject(path, has_header, mask & (values < 0.0), "negative value under truncation")

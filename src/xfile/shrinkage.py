@@ -10,7 +10,9 @@ construction (concentration ``alpha``, discount ``delta``):
 
 This module provides exact activation probabilities Pr(rho_h = 1), the
 closed-form expected number of active factors, and Monte Carlo simulation
-of the induced distribution of k = sum_h rho_h.
+of the induced distribution of k = sum_h rho_h.  The simulation draws each
+remaining share 1 - omega_m as a ratio of gamma variates and runs over
+chunks of ``CHUNK_CELLS`` cells held in two preallocated buffers.
 """
 
 from dataclasses import dataclass
@@ -33,6 +35,9 @@ __all__ = [
 
 TRUNCATION_CAP = 10_000
 TAIL_MASS_TARGET = 1e-4
+# cells per pass of the Monte Carlo loop: its two float64 buffers (1 MiB) stay in cache
+CHUNK_CELLS = 1 << 16
+_SMALLEST_DOUBLE = np.nextafter(0.0, 1.0)
 
 
 def _check_numbers(obj, counts: tuple, reals: tuple) -> None:
@@ -167,6 +172,26 @@ class PriorRankSample:
         return ks, probs
 
 
+def _stick_remainders(rng: np.random.Generator, a: float, b: np.ndarray,
+                      out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fills ``out`` (rows, H) with 1 - omega_m ~ Beta(b[m-1], a), a = 1 - delta.
+
+    Draws each as the gamma ratio G_b / (G_b + G_a).  G_a ~ Gamma(a) comes
+    from the shape boost G_a = G_{a+1} * exp(-E / a), E ~ Exp(1) (Marsaglia
+    and Tsang 2000), so numpy's slower rejection sampler for shapes below
+    one is never called.  G_a is floored at the smallest positive double:
+    for delta near 1 exp(-E / a) can underflow, and 0 / 0 would be NaN if
+    G_b did too.
+    ``scratch`` has the shape of ``out`` and is overwritten.
+    """
+    rng.standard_exponential(out=out)
+    np.exp(np.multiply(out, -1.0 / a, out=out), out=out)
+    np.multiply(out, rng.standard_gamma(a + 1.0, out=scratch), out=out)
+    np.maximum(out, _SMALLEST_DOUBLE, out=out)  # G_a
+    np.add(out, rng.standard_gamma(b, out=scratch), out=out)  # G_a + G_b
+    return np.divide(scratch, out, out=out)
+
+
 def simulate_prior_ranks(
     params: ShrinkageParams,
     H: int,
@@ -176,8 +201,10 @@ def simulate_prior_ranks(
     """Samples k = sum_h rho_h with rho_h ~ Bernoulli(1 - pi_h) given sticks.
 
     Uses the identity 1 - pi_h = prod_{m<=h}(1 - omega_m) (remaining stick
-    mass), so each draw costs H Beta variates, or H exponential ones when
-    delta = 0, where the remaining mass is exp(-sum_{m<=h} E_m / alpha).
+    mass).  For delta > 0 each draw costs H gamma ratios 1 - omega_m =
+    G_b / (G_b + G_a) with b = alpha + delta * m and a = 1 - delta (see
+    :func:`_stick_remainders`); for delta = 0 it costs H exponential
+    variates, as the remaining mass is exp(-sum_{m<=h} E_m / alpha).
     Activations beyond H are, conditionally on the remaining mass R_H, a
     thinned point process with expected count R_H * c(H) where c(H) =
     activation_tail(H) / prob_active(H); when delta < 1/2 they are drawn
@@ -202,31 +229,32 @@ def simulate_prior_ranks(
     if params.delta < 0.5 and q_H > 0.0:
         tail_rate = tail / q_H
 
-    m = np.arange(1, H + 1, dtype=float)
-    a_beta = 1.0 - params.delta
-    b_beta = params.alpha + params.delta * m
+    a = 1.0 - params.delta
+    b = params.alpha + params.delta * np.arange(1, H + 1)
 
     k = np.empty(n_draws, dtype=np.int64)
-    act_counts = np.zeros(H, dtype=np.int64)
-    chunk = max(1, min(n_draws, int(4_000_000 / H)))
+    act_counts = np.zeros(H)
+    rows = max(1, min(n_draws, CHUNK_CELLS // H))
+    remaining_buf = np.empty((rows, H))
+    scratch_buf = np.empty((rows, H))
     done = 0
     while done < n_draws:
-        size = min(chunk, n_draws - done)
+        size = min(rows, n_draws - done)
+        remaining, scratch = remaining_buf[:size], scratch_buf[:size]
         # remaining[:, h - 1] = 1 - pi_h per draw, computed in place
         if params.delta == 0.0:
             # 1 - omega ~ Beta(alpha, 1) is exactly exp(-E / alpha), E ~ Exp(1)
-            remaining = rng.standard_exponential((size, H))
+            rng.standard_exponential(out=remaining)
             np.cumsum(remaining, axis=1, out=remaining)
             np.exp(np.divide(remaining, -params.alpha, out=remaining), out=remaining)
         else:
-            remaining = rng.beta(a_beta, b_beta, size=(size, H))
-            np.cumprod(np.subtract(1.0, remaining, out=remaining), axis=1, out=remaining)
-        rho = rng.random((size, H)) < remaining
+            _stick_remainders(rng, a, b, remaining, scratch)
+            np.cumprod(remaining, axis=1, out=remaining)
+        rho = np.less(rng.random(out=scratch), remaining, out=scratch)  # 0/1 per factor
         act_counts += rho.sum(axis=0)
-        k_chunk = rho.sum(axis=1)
+        k[done : done + size] = rho.sum(axis=1)
         if tail_rate > 0.0:
-            k_chunk = k_chunk + rng.poisson(remaining[:, -1] * tail_rate)
-        k[done : done + size] = k_chunk
+            k[done : done + size] += rng.poisson(remaining[:, -1] * tail_rate)
         done += size
 
     return PriorRankSample(

@@ -68,6 +68,7 @@ EDGE_CASES = {
     "quoted-header": ('"a","b"\n1,2\n', True, [[1.0, 2.0]]),
     "header-spans-lines": ('"a\n1,2\n",b\n3,4\n', True, [[3.0, 4.0]]),
     "header-unclosed-quote": ('"a\n1,2\n', True, MatrixParseError("no data rows")),
+    "empty-fields-only": (",\n,\n", False, MatrixParseError("no observed cells")),
     "missing-in-last-row": ("1,2\n3,4\n5,\n", False, [[1.0, 2.0], [3.0, 4.0], [5.0, None]]),
     "bad-cell-after-header": ("a,b\n1,2\n3,x\n", True,
                               MatrixParseError("row 3, column 2: not a number: 'x'")),
@@ -722,7 +723,8 @@ class TestCli:
         ("1,2\n3,-1\n", None, ["--transform", "nonneg"],
          "{data}: negative value under truncation at row 2, column 2"),
         ("1,2\n3,4\n", "\n" * 5, [], "{covariates}: no data rows"),
-    ], ids=["non-finite", "negative", "blank-covariates"])
+        (",\n,\n", None, [], "{data}: no observed cells"),
+    ], ids=["non-finite", "negative", "blank-covariates", "empty-fields-only"])
     def test_fit_bad_input_names_file_and_cell(self, tmp_path, capsys, data, covariates, flags,
                                                expected):
         paths = {"data": tmp_path / "d.csv", "covariates": tmp_path / "x.csv"}

@@ -1,14 +1,18 @@
 """Stick-breaking prior: closed forms, truncation, Monte Carlo."""
 
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 from math import inf
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from xfile.shrinkage import (
+    CHUNK_CELLS,
     ShrinkageParams,
+    _stick_remainders,
     activation_tail,
     default_truncation,
     expected_rank,
@@ -149,3 +153,61 @@ class TestSimulation:
         rng = np.random.default_rng(9)
         with pytest.warns(RuntimeWarning, match="truncation"):
             simulate_prior_ranks(ShrinkageParams(5.0, 0.0), 5, 100, rng)
+
+
+class TestStickSampler:
+    """The delta > 0 gamma-ratio draw of 1 - omega_m ~ Beta(alpha + delta*m, 1 - delta)."""
+
+    H = 200
+
+    @pytest.mark.parametrize("alpha,delta", [(2.8, 0.2), (0.6, 0.4)])
+    def test_matches_beta(self, alpha, delta):
+        a = 1.0 - delta
+        b = alpha + delta * np.arange(1, self.H + 1)
+        out, scratch = np.empty((5_000, self.H)), np.empty((5_000, self.H))
+        _stick_remainders(np.random.default_rng(31), a, b, out, scratch)
+        for m in (1, 10, self.H):
+            test = stats.kstest(out[:, m - 1], stats.beta(alpha + delta * m, a).cdf)
+            assert test.pvalue > 1e-3, (m, test)
+
+    def test_underflow_stays_in_unit_interval(self):
+        # (alpha, delta) = (-0.989, 0.99): exp(-E / a) underflows one time in
+        # 1700 and Gamma(0.001) about one time in two, so both do about 100
+        # times here; no 0 / 0 may reach the sticks
+        out, scratch = np.empty((200_000, 1)), np.empty((200_000, 1))
+        _stick_remainders(np.random.default_rng(5), 0.01, np.array([0.001]), out, scratch)
+        assert ((out >= 0.0) & (out <= 1.0)).all()
+
+
+class TestSimulationChunks:
+    @pytest.mark.parametrize("params", [ShrinkageParams(5.0, 0.0), ShrinkageParams(2.8, 0.2)])
+    @pytest.mark.parametrize("H,n_draws", [
+        (150, CHUNK_CELLS // 150 + 1),
+        (150, 1),
+        (CHUNK_CELLS + 1, 3),
+    ], ids=["chunk-plus-one", "one-draw", "one-row-chunks"])
+    def test_chunk_edges(self, params, H, n_draws):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # H = 150 is short for delta > 0
+            sample = simulate_prior_ranks(params, H, n_draws, np.random.default_rng(2))
+        assert sample.k.shape == (n_draws,)
+        assert ((sample.activation_freq >= 0.0) & (sample.activation_freq <= 1.0)).all()
+
+    def test_same_seed_bit_identical(self):
+        runs = [simulate_prior_ranks(ShrinkageParams(2.8, 0.2), 609, 2_000,
+                                     np.random.default_rng(17)) for _ in range(2)]
+        assert runs[0].k.tobytes() == runs[1].k.tobytes()
+        assert runs[0].activation_freq.tobytes() == runs[1].activation_freq.tobytes()
+
+    def test_peak_memory(self):
+        # the draws live in two chunk buffers, not in (n_draws, H) temporaries
+        rng = np.random.default_rng(13)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                simulate_prior_ranks(ShrinkageParams(2.8, 0.2), 150, 100_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
