@@ -10,10 +10,9 @@ Per inner iteration the blocks are:
   1. row loadings u        -- quadratic surrogate of the Student-t loss,
                               tangent at the current value, solved per row
   2. row flags psi         -- exact on/off comparison per row
-  3. row coefficients beta -- Newton step on the surrogate, certified when
-                              no rectifier sign changes or the per-row
-                              bound is non-negative, otherwise kept only
-                              if the exact objective does not fall
+  3. row coefficients beta -- Newton step on the surrogate, kept when no
+                              rectifier sign changes or the per-row bound
+                              is non-negative, otherwise no move
   4. column loadings v     -- step 1 on the transposed problem
   5. column flags phi      -- step 2 on the transposed problem
   6. column coefficients gamma -- step 3 on the transposed problem
@@ -25,13 +24,13 @@ x<->w, u<->v, psi<->phi, beta<->gamma, zeta_n<->zeta_p) with one loading
 scale c: the prior sees loading * c ~ N(0, c^2), with c = 1 for the rows
 and c = eta for the columns, whose loadings enter as vstar = v * eta.
 
-Every block either maximizes the exact objective over its coordinates, or
-maximizes a surrogate that minorizes it (the MM argument), or accepts a
-surrogate proposal only when the exact objective does not decrease, so the
-log-posterior is non-decreasing across steps 1-7.  The coefficient steps
-take the second way when no row changes the sign of its linear score or the
-per-row bound, which sums the tangent minorant over every row, is
-non-negative, and the third otherwise (Newton-or-stay).
+Every block either maximizes the exact objective over its coordinates or
+takes a point whose minorant gain over the current value is non-negative
+(the MM argument), so the log-posterior is non-decreasing across steps 1-7
+and no step evaluates it.  The coefficient steps keep their Newton point
+when no row changes the sign of its linear score or the per-row bound,
+which sums the tangent minorant over every row, is non-negative, and stay
+put otherwise.
 
 An unobserved cell has infinite scale 2 b_sigma: zero loss, zero surrogate
 weight, so no step masks.  The exact objective (:func:`inner_logpost`) is
@@ -101,14 +100,13 @@ class InnerState:
     the observed zeros of truncated data, by :func:`run_inner`'s latent refresh.
 
     The state owns the workspace of its steps, allocated here, so that no
-    step and no objective evaluation allocates an n x p array: ``_work``
-    holds two n x p float buffers and ``_work_t`` their transposed views,
-    which the column steps use.  Every step and every objective evaluation
-    may overwrite the workspace, so no value in it outlives the call that
-    wrote it.  When some cells are unobserved, :func:`inner_logpost`
-    gathers the observed ones into ``_observed`` (their flat indices and a
-    buffer of that length).  :meth:`cells` without ``out`` returns a fresh
-    array.
+    step and no objective evaluation allocates an n x p array: ``_work`` is
+    one n x p float buffer, which the column steps see transposed.  Every
+    step and every objective evaluation may overwrite it, so no value in it
+    outlives the call that wrote it.  When some cells are unobserved,
+    :func:`inner_logpost` gathers the observed ones into ``_observed``
+    (their flat indices and a buffer of that length).  :meth:`cells` without
+    ``out`` returns a fresh array.
     """
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
@@ -132,8 +130,7 @@ class InnerState:
         self.eta = float(eta)
         self.refresh_links()
         n, p = self.mask.shape
-        self._work = tuple(np.empty((n, p)) for _ in range(2))
-        self._work_t = tuple(buf.T for buf in self._work)
+        self._work = np.empty((n, p))
         if self.mask.all():
             self.scale, self._observed = np.float64(self.two_b), None  # has .T
         else:
@@ -171,7 +168,7 @@ def inner_logpost(state: InnerState) -> float:
     residual plus ``log_prior_contribution(state.candidate(), ...)``, but
     read from the state's arrays and cached constants.
     """
-    resid = state.cells(out=state._work[0])
+    resid = state.cells(out=state._work)
     np.subtract(state.ztilde, resid, out=resid)
     if state._observed is None:
         resid = resid.ravel()  # all cells, in the order of resid[mask]
@@ -201,7 +198,7 @@ class _Side(NamedTuple):
     coef: np.ndarray
     other_link: np.ndarray
     other_eff: np.ndarray  # the other side's flags * loading
-    work: tuple            # the state's workspace in this orientation
+    work: np.ndarray       # the state's workspace in this orientation
     names: tuple           # state attributes of loading, flags, coefficients
 
     def store(self, state: InnerState, loading, flags) -> None:
@@ -216,13 +213,13 @@ def _rows(state: InnerState) -> _Side:
 
 
 def _columns(state: InnerState) -> _Side:
-    # The workspace is seen through transposed views of the (n, p) buffers,
+    # The workspace is seen through a transposed view of the (n, p) buffer,
     # so every (p, n) temporary keeps ztilde's layout and its row sums add
     # in the order of an axis-0 sum (a C-ordered (p, n) buffer would sum
     # pairwise).
     return _Side(state.ztilde.T, state.off_loss.T, state.scale.T, state.side.w,
                  state.mu_g, state.hp.zeta_p, state.eta, state.gw, state.v, state.phi,
-                 state.gamma, state.fx, state.psi * state.u, state._work_t,
+                 state.gamma, state.fx, state.psi * state.u, state._work.T,
                  ("v", "phi", "gamma"))
 
 
@@ -233,15 +230,14 @@ def _surrogate_sums(s: _Side, ra, cb, at):
     Cells with A = 0 add zero (D >= 2b > 0), as do unobserved cells (2b = inf).
 
     A is never formed: w = ra^2 * (1/D @ cb^2) and t = ra * ((ztilde / D) @
-    cb), with 1/D computed once.  Overwrites the second workspace buffer.
+    cb), with 1/D computed once.  Overwrites the workspace; the returned
+    vectors are fresh, so the caller may write the workspace again.
 
     The loading step solves its surrogate from these sums.  The coefficient
     step feeds its Newton system the on-axis rows' sums, and the sums of
-    every row to :func:`_coef_gain_bound`: its Newton point is certified
-    when no sign changes or the per-row bound is non-negative, otherwise
-    Newton-or-stay.
+    every row to :func:`_coef_gain_bound`.
     """
-    denom = s.work[1]
+    denom = s.work
     np.outer(ra * at, cb, out=denom)
     np.subtract(s.ztilde, denom, out=denom)
     np.add(s.scale, np.square(denom, out=denom), out=denom)
@@ -291,7 +287,7 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
     new = np.where(inactive, scaled, prop)
     flags = s.flags
     if inactive.any():
-        d_lik = _masked_loglik_delta(s, state, np.outer(ra * prop, cb, out=s.work[0]))
+        d_lik = _masked_loglik_delta(s, state, np.outer(ra * prop, cb, out=s.work))
         d_post = (
             log(s.zeta / (1.0 - s.zeta))
             + d_lik
@@ -313,7 +309,7 @@ def _update_flags(state: InnerState, s: _Side) -> InnerState:
     mode zero, which can only raise the objective.
     """
     cells_on = np.outer(state.eta * (s.link * s.loading), s.other_link * s.other_eff,
-                        out=s.work[0])
+                        out=s.work)
     d_lik = _masked_loglik_delta(s, state, cells_on)
     on = (log(s.zeta / (1.0 - s.zeta)) + d_lik) > 0.0
     s.store(state, np.where(on, s.loading, 0.0), on.astype(float))
@@ -348,8 +344,8 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     The Newton system is restricted to rows with positive linear score and
     columns with effective loading.  It solves the ridge-regularized normal
     equations of the quadratic surrogate (the prior ridge keeps them
-    nonsingular).  The Newton point is certified when no sign changes or the
-    per-row bound is non-negative, otherwise Newton-or-stay:
+    nonsingular).  The Newton point is kept when one of two certificates
+    holds:
 
     - no sign changes: every row keeps the sign of its linear score, so the
       cells are affine in the coefficients on the rows it models and
@@ -359,11 +355,9 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
       over every row at the actual links, bounds the objective's change
       from below, so a non-negative bound certifies the point.
 
-    A certified point is kept without evaluating the objective.  Otherwise
-    the Newton point is kept iff the exact objective does not decrease, and
-    else the coefficients stay put.  That check evaluates the objective once
-    before the step and once at the Newton point; putting the coefficients
-    back only refreshes the links.
+    Otherwise the coefficients and links stay as they are.  Neither branch
+    evaluates the objective.  The sign test comes first: in exact arithmetic
+    it implies a non-negative bound, and it costs less.
     """
     hp = state.hp
     on_axis = (s.design @ s.coef) > 0.0
@@ -380,13 +374,9 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     rhs = s.design.T @ (tvec - hp.eps_frelu * wvec) + ridge * s.mu
     newton = np.linalg.solve(M, rhs)
 
-    certified = (np.array_equal((s.design @ newton) > 0.0, on_axis)
-                 or _coef_gain_bound(state, s, w, t, newton) >= 0.0)
-    j_before = None if certified else inner_logpost(state)
-    setattr(state, s.names[2], newton)
-    state.refresh_links()
-    if not certified and not inner_logpost(state) >= j_before:
-        setattr(state, s.names[2], s.coef)
+    if (np.array_equal((s.design @ newton) > 0.0, on_axis)
+            or _coef_gain_bound(state, s, w, t, newton) >= 0.0):
+        setattr(state, s.names[2], newton)
         state.refresh_links()
     return state
 

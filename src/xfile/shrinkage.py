@@ -54,7 +54,9 @@ def _check_numbers(obj, counts: tuple, reals: tuple) -> None:
 class ShrinkageParams:
     """Concentration/discount pair of the stick-breaking construction.
 
-    Requires ``delta in [0, 1)`` and ``alpha > -delta``.
+    Requires ``delta in [0, 1)``, ``alpha > -delta``, and an alpha small
+    enough that Pr(rho_1 = 1) evaluates below 1 (the stopping rule takes
+    log Pr(rho_h = 0)).
     """
 
     alpha: float
@@ -67,6 +69,12 @@ class ShrinkageParams:
         if not self.alpha > -self.delta:
             raise ValueError(
                 f"alpha must exceed -delta, got alpha={self.alpha}, delta={self.delta}"
+            )
+        q = prob_active(1, self)
+        if not q < 1.0:
+            raise ValueError(
+                f"alpha={self.alpha} is too large at delta={self.delta}: "
+                f"Pr(rho_1 = 1) evaluates to {q!r}, not below 1"
             )
 
 

@@ -393,6 +393,22 @@ class TestCli:
         assert err.startswith("error:") and "seed" in err
         assert not out.parent.exists()
 
+    def test_prior_alpha_too_large_fails_and_names_alpha(self, capsys):
+        assert main(["prior", "--alpha", "1e17", "--draws", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha" in err
+
+    def test_fit_alpha_too_large_fails_and_names_alpha(self, tmp_path, capsys):
+        data_path, cfg_path = tmp_path / "data.csv", tmp_path / "hp.json"
+        save_matrix(data_path, np.arange(12.0).reshape(4, 3))
+        cfg_path.write_text(json.dumps({"alpha": 1e17}))
+        out_dir = tmp_path / "run"
+        assert main(["fit", "--data", str(data_path), "--config", str(cfg_path),
+                     "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha" in err
+        assert not out_dir.exists()
+
     def test_fit_predict_pipeline(self, tmp_path, rng):
         n = p = 10
         values = rng.standard_normal((n, p)) + 2.0 * np.outer(

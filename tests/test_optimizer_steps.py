@@ -1,4 +1,4 @@
-"""Coordinate-ascent steps: closed forms, surrogate bound, safeguards."""
+"""Coordinate-ascent steps: closed forms, surrogate bound, certificates."""
 
 import copy
 from dataclasses import replace
@@ -270,8 +270,8 @@ class TestSurrogateOracle:
         state = random_state(np.random.default_rng(900 + seed), n=9, p=8, q_x=3, q_w=3,
                              hp=make_hp(eps_frelu=eps))
         expected = surrogate_maximizer(state, name)
-        # every objective value ties, so the step keeps its Newton point
-        monkeypatch.setattr(optimizer, "inner_logpost", lambda s: 0.0)
+        # a zero bound certifies every Newton point, so the step keeps it
+        monkeypatch.setattr(optimizer, "_coef_gain_bound", lambda *args: 0.0)
         step(state)
         np.testing.assert_allclose(getattr(state, name), expected, rtol=0.0, atol=1e-6)
 
@@ -342,30 +342,84 @@ class TestRejectedNewtonPoint:
     @pytest.mark.parametrize("step", [step_beta, step_gamma])
     def test_rejected_newton_point_stays_without_reevaluating(self, monkeypatch, step, seed):
         # on these states the Newton point flips a rectifier sign and the
-        # per-row bound is negative, so the step checks it against the exact
-        # objective
+        # per-row bound is negative, so the step stays put without
+        # evaluating the objective
         rng = np.random.default_rng(self.SEEDS[step][seed])
         state = random_state(rng, n=7, p=6, q_x=3, q_w=3, sparse_frac=0.0)
         name, X = _coef_and_design(state, step)
-        j_before = inner_logpost(state)
         before = {k: getattr(state, k).copy() for k in ("beta", "gamma", "fx", "gw")}
+        bound = optimizer._coef_gain_bound
+        newton = []  # the step asks for the bound only when a sign flips
+
+        def recorded(state, s, w, t, coef):
+            newton.append(coef.copy())
+            return bound(state, s, w, t, coef)
+
+        monkeypatch.setattr(optimizer, "_coef_gain_bound", recorded)
         calls = []
-
-        def reject_newton_point(s):
-            # the first evaluation is the objective before the step; the
-            # Newton point then scores -inf
-            calls.append(getattr(s, name).copy())
-            return inner_logpost(s) if len(calls) == 1 else -np.inf
-
-        monkeypatch.setattr(optimizer, "inner_logpost", reject_newton_point)
+        monkeypatch.setattr(optimizer, "inner_logpost", lambda s: calls.append(s))
         step(state)
-        # 1 before the step + 1 Newton point; none to restore
-        assert len(calls) == 1 + 1
-        assert not np.array_equal(X @ calls[1] > 0.0, X @ before[name] > 0.0)
+        assert calls == []
+        assert len(newton) == 1
+        assert not np.array_equal(X @ newton[0] > 0.0, X @ before[name] > 0.0)
+        assert _bound(state, step, newton[0]) < 0.0
         for key, value in before.items():
             np.testing.assert_array_equal(getattr(state, key), value)
-        assert _bound(state, step, calls[1]) < 0.0
-        assert inner_logpost(state) == j_before
+
+
+class TestNoStepEvaluatesTheObjective:
+    STEPS = (step_u, step_psi, step_beta, step_v, step_phi, step_gamma, step_eta)
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        objective = optimizer.inner_logpost
+
+        def counted(s):
+            calls.append(None)
+            return objective(s)
+
+        monkeypatch.setattr(optimizer, "inner_logpost", counted)
+        return calls
+
+    @staticmethod
+    def _states():
+        for seeds in TestRejectedNewtonPoint.SEEDS.values():
+            for seed in seeds:
+                yield random_state(np.random.default_rng(seed), n=7, p=6, q_x=3, q_w=3,
+                                   sparse_frac=0.0)
+        yield random_state(np.random.default_rng(31), n=9, p=8, q_x=3, q_w=3,
+                           hp=make_hp(eps_frelu=0.3))
+
+    def test_steps_never_evaluate_the_objective(self, monkeypatch):
+        # each step runs on its own copy of each state, so the coefficient
+        # steps meet the sign-flipping Newton points of TestRejectedNewtonPoint
+        calls = self._counted(monkeypatch)
+        states = list(self._states())
+        assert not states[-1].mask.all()
+        for state in states:
+            for step in self.STEPS:
+                step(copy.deepcopy(state))
+                assert calls == [], step.__name__
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_run_inner_evaluates_once_per_trace_entry(self, monkeypatch, truncated):
+        rng = np.random.default_rng(770)
+        n, p = 10, 8
+        hp = make_hp(max_inner_iters=5)
+        if truncated:
+            values = np.maximum(rng.standard_normal((n, p)) + 0.3, 0.0)
+            data = ObservedMatrix(values, np.ones((n, p), bool), Transform.NONNEG_TRUNCATION)
+            fitted_prev = 0.5 * np.outer(rng.standard_normal(n), rng.standard_normal(p))
+            state = random_state(rng, n=n, p=p, hp=hp, h=2, full_mask=True,
+                                 ztilde=initial_latent(data) - fitted_prev)
+            args = (observed_zeros(data), fitted_prev)
+        else:
+            state, args = random_state(rng, n=n, p=p, hp=hp), ()
+        calls = self._counted(monkeypatch)
+        trace = run_inner(state, *args)
+        assert len(trace) > 2
+        assert len(calls) == len(trace)
 
 
 class TestBoundCertifiedNewtonPoint:

@@ -33,6 +33,13 @@ class TestParams:
         with pytest.raises(ValueError):
             ShrinkageParams(alpha=alpha, delta=delta)
 
+    @pytest.mark.parametrize("alpha,delta", [(1e17, 0.0), (1e14, 0.3)])
+    def test_alpha_whose_first_activation_rounds_to_one(self, alpha, delta):
+        # Pr(rho_1 = 1) = (alpha + delta) / (1 + alpha) evaluates to 1.0 (or,
+        # through the lgamma form, above 1), and log Pr(rho_1 = 0) is undefined
+        with pytest.raises(ValueError, match="alpha"):
+            ShrinkageParams(alpha=alpha, delta=delta)
+
 
 class TestProbActive:
     def test_geometric_case(self):

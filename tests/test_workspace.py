@@ -1,11 +1,11 @@
-"""The steps and the objective work in the state's own buffers.
+"""The steps and the objective work in the state's own buffer.
 
 Every coordinate step and :func:`inner_logpost` writes its n x p
-temporaries into the workspace its :class:`InnerState` allocated when it was
-built.  These tests check that no step allocates an n x p array, that two
-states never share a buffer, and that the coefficient step, which reads the
-workspace after objective evaluations wrote it, keeps or rejects its Newton
-point as an allocating reference does.
+temporaries into the one workspace buffer its :class:`InnerState` allocated
+when it was built.  These tests check that no step allocates an n x p
+array, that two states never share a buffer, and that the coefficient step,
+which reads surrogate sums out of the buffer, keeps its Newton point or
+stays as an allocating reference does.
 The latent refresh of truncated data writes only the observed zeros.
 """
 
@@ -17,7 +17,7 @@ import pytest
 
 from conftest import make_hp, make_side, random_state, validated_objective
 from xfile.latent import initial_latent, observed_zeros
-from xfile.model import ObservedMatrix, Transform
+from xfile.model import ObservedMatrix, Transform, frelu
 from xfile.optimizer import (
     fit_contribution,
     inner_logpost,
@@ -100,7 +100,8 @@ def test_restarts_never_hold_two_workspaces():
             tracemalloc.stop()
 
     # Later restarts add the winner's kept ztilde (one array); a previous
-    # restart's state still alive would add its whole workspace (two).
+    # restart's state still alive would add its ztilde, off_loss and
+    # workspace buffer (three).
     assert peak(3) - peak(1) < 2.0
 
 
@@ -139,11 +140,11 @@ def _reference_objective(state, name, coef):
 def _reference_coef_step(state, name):
     """The coefficient update written with allocating formulas.
 
-    Returns the kept coefficients, the objective there, and whether the
-    Newton point was rejected: it is kept unchecked when every row keeps the
-    sign of its linear score, and otherwise iff the objective does not fall.  For the columns every (p, n) array is a
-    transposed view of an (n, p) one, so its row sums add in the order the
-    step uses.
+    Returns the Newton point and whether the step keeps it: iff every row
+    keeps the sign of its linear score, or else the per-row bound, the
+    tangent minorant summed over every row, is non-negative.  For the
+    columns every (p, n) array is a transposed view of an (n, p) one, so its
+    row sums add in the order the step uses.
     """
     hp = state.hp
     if name == "beta":
@@ -155,39 +156,50 @@ def _reference_coef_step(state, name):
         A = (state.eta * np.outer(state.fx * state.psi * state.u, state.phi * state.v)).T
         link = state.gw
     coef = getattr(state, name)
-    on_axis = ((X @ coef) > 0.0)[:, None]
-    valid = mask & on_axis & (A != 0.0)
+    on_axis = (X @ coef) > 0.0
     denom = 2.0 * hp.b_sigma + (z - A * link[:, None])**2
-    wsum = np.where(valid, A * A / denom, 0.0).sum(axis=1)
-    tsum = np.where(valid, A * z / denom, 0.0).sum(axis=1)
+    w = np.where(mask, A * A / denom, 0.0).sum(axis=1)
+    t = np.where(mask, A * z / denom, 0.0).sum(axis=1)
+    wsum, tsum = np.where(on_axis, w, 0.0), np.where(on_axis, t, 0.0)
     ridge = 1.0 / (2.0 * (hp.a_sigma + 0.5))
     M = (X * wsum[:, None]).T @ X + ridge * np.eye(X.shape[1])
     newton = np.linalg.solve(M, X.T @ (tsum - hp.eps_frelu * wsum) + ridge * mu)
 
-    j_before = _reference_objective(state, name, coef)
-    j = _reference_objective(state, name, newton)
-    if np.array_equal(X @ newton > 0.0, on_axis[:, 0]) or j >= j_before:
-        return newton, j, False
-    return coef, j_before, True
+    if np.array_equal(X @ newton > 0.0, on_axis):
+        return newton, True
+    new_link = frelu(X @ newton, hp.eps_frelu)
+    loss = np.sum((new_link - link) * (w * (new_link + link) - 2.0 * t))
+    prior = np.sum((newton - mu) ** 2) - np.sum((coef - mu) ** 2)
+    return newton, -(hp.a_sigma + 0.5) * loss - 0.5 * prior >= 0.0
 
 
-@pytest.mark.parametrize("name, step, seed", [
-    ("beta", step_beta, 13), ("beta", step_beta, 18),
-    ("gamma", step_gamma, 114), ("gamma", step_gamma, 124),
+@pytest.mark.parametrize("name, step, seed, kept", [
+    ("beta", step_beta, 13, False), ("beta", step_beta, 18, False),
+    ("beta", step_beta, 801, True), ("beta", step_beta, 804, True),
+    ("gamma", step_gamma, 114, False), ("gamma", step_gamma, 124, False),
+    ("gamma", step_gamma, 804, True), ("gamma", step_gamma, 805, True),
 ])
-def test_newton_or_stay_matches_reference(name, step, seed):
-    # No monkeypatch: on these states the Newton point flips a rectifier sign
-    # and the exact objective itself rejects it, which the step scores in the
-    # workspace, so the coefficients, their links and the objective stay as
-    # they were.
+def test_certified_newton_point_or_stay_matches_reference(name, step, seed, kept):
+    # No monkeypatch: on these states the Newton point flips a rectifier
+    # sign, and the bound, summed from sums the step reads out of the
+    # workspace, keeps it or leaves the coefficients and links as they were.
     state = random_state(np.random.default_rng(seed), n=9, p=8, q_x=3, q_w=3)
+    X = state.side.x if name == "beta" else state.side.w
     before = {k: getattr(state, k).copy() for k in (name, "fx", "gw")}
-    _, j, rejected = _reference_coef_step(state, name)
-    assert rejected  # which the reference allows only when a sign flips
+    newton, kept_by_reference = _reference_coef_step(state, name)
+    assert not np.array_equal(X @ newton > 0.0, X @ before[name] > 0.0)
+    assert kept_by_reference == kept
     step(state)
-    for key, value in before.items():
-        np.testing.assert_array_equal(getattr(state, key), value)
-    assert inner_logpost(state) == j
+    if kept:
+        np.testing.assert_allclose(getattr(state, name), newton, rtol=1e-10, atol=0.0)
+        np.testing.assert_array_equal(state.fx, frelu(state.side.x @ state.beta,
+                                                      state.hp.eps_frelu))
+        np.testing.assert_array_equal(state.gw, frelu(state.side.w @ state.gamma,
+                                                      state.hp.eps_frelu))
+    else:
+        for key, value in before.items():
+            np.testing.assert_array_equal(getattr(state, key), value)
+    assert inner_logpost(state) == _reference_objective(state, name, getattr(state, name))
 
 
 def test_cells_is_not_overwritten_by_the_objective():
