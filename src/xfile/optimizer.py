@@ -36,6 +36,15 @@ An unobserved cell has infinite scale 2 b_sigma: zero loss, zero surrogate
 weight, so no step masks.  The exact objective (:func:`inner_logpost`) is
 summed straight from the candidate's arrays; :class:`InnerState` holds them
 with the constants it caches and the workspace the steps write into.
+
+The two per-cell kernels of steps 1-6 (:func:`_surrogate_sums` and
+:func:`_masked_loglik_delta`) walk their side's rows in blocks of at most
+``shrinkage.CHUNK_CELLS`` cells, each in a block-sized view of the
+workspace, so a block's elementwise passes and row sums stay in L2 rather
+than streaming n x p temporaries through L3.  They form rank-one products
+with ``np.einsum("i,j->ij", a, b, out=...)``, which at 800 x 400 took half
+the time of numpy's broadcast multiply (``np.outer``).  The two agree except
+in the sign of zero products, which the kernels square away.
 """
 
 from dataclasses import dataclass
@@ -60,7 +69,7 @@ from .model import (
     log_prior_contribution,
     materialize,
 )
-from .shrinkage import ShrinkageParams, prob_active
+from .shrinkage import CHUNK_CELLS, ShrinkageParams, prob_active
 
 __all__ = [
     "InnerState",
@@ -79,6 +88,23 @@ __all__ = [
     "fit",
     "predict_matrix",
 ]
+
+
+def _blocks(shape, scale, work, order) -> tuple:
+    """The rows of a (rows, m) problem in blocks that fit ``CHUNK_CELLS``
+    cells: rows per block are the largest multiple of 8 that fits (8 when
+    none does).  Per block: its row slice, its ``scale`` and a block-sized
+    prefix view, in memory order ``order``, of the flat workspace ``work``
+    (the whole of it when all rows fit one block)."""
+    n, m = shape
+    step = max(8, CHUNK_CELLS // m // 8 * 8)
+    blocks = []
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        size = rows.stop - start
+        blocks.append((rows, scale[rows] if scale.ndim else scale,
+                       work[:size * m].reshape((size, m), order=order)))
+    return tuple(blocks)
 
 
 class InnerState:
@@ -101,12 +127,20 @@ class InnerState:
 
     The state owns the workspace of its steps, allocated here, so that no
     step and no objective evaluation allocates an n x p array: ``_work`` is
-    one n x p float buffer, which the column steps see transposed.  Every
-    step and every objective evaluation may overwrite it, so no value in it
-    outlives the call that wrote it.  When some cells are unobserved,
-    :func:`inner_logpost` gathers the observed ones into ``_observed``
-    (their flat indices and a buffer of that length).  :meth:`cells` without
-    ``out`` returns a fresh array.
+    one n x p float buffer.  :func:`inner_logpost` uses all of it.  The step
+    kernels use the block views built here (:func:`_blocks`): per block of
+    R rows, ``_row_blocks`` holds the (R, p) C-ordered prefix of the buffer,
+    and per block of C columns ``_column_blocks`` holds its (n, C) C-ordered
+    prefix seen transposed, so each (C, n) temporary keeps ztilde's layout.
+    Rows per block are a multiple of 8 because BLAS's gemv kernels take
+    rows in groups: each row then sits where it would in one pass over the
+    whole array, and the blocked row sums came out bit-identical to that
+    pass at blocks of 16 rows or more, while blocks of 7, 13 or 41 rows
+    changed their last bits.  Every step and every objective evaluation may
+    overwrite the buffer, so no value in it outlives the call that wrote it.
+    When some cells are unobserved, :func:`inner_logpost` gathers the
+    observed ones into ``_observed`` (their flat indices and a buffer of
+    that length).  :meth:`cells` without ``out`` returns a fresh array.
     """
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
@@ -137,6 +171,9 @@ class InnerState:
             self.scale = np.where(self.mask, self.two_b, np.inf)
             index = np.flatnonzero(self.mask)
             self._observed = (index, np.empty(index.size))
+        flat = self._work.reshape(-1)
+        self._row_blocks = _blocks((n, p), self.scale, flat, "C")
+        self._column_blocks = _blocks((p, n), self.scale.T, flat, "F")
 
     def refresh_links(self):
         self.fx = frelu(self.side.x @ self.beta, self.hp.eps_frelu)
@@ -149,8 +186,7 @@ class InnerState:
     def cells(self, out=None):
         """The candidate's n x p cells, into ``out`` or else a fresh array."""
         a, b = self.factors()
-        out = np.multiply(a[:, None], b[None, :], out=out)
-        return np.multiply(self.eta, out, out=out)
+        return np.multiply(self.eta, np.einsum("i,j->ij", a, b, out=out), out=out)
 
     def candidate(self) -> FactorContribution:
         return FactorContribution(
@@ -187,7 +223,6 @@ class _Side(NamedTuple):
 
     ztilde: np.ndarray
     off_loss: np.ndarray   # the state's off_loss in this orientation
-    scale: np.ndarray      # the state's scale in this orientation
     design: np.ndarray
     mu: np.ndarray         # prior mean of the coefficients
     zeta: float
@@ -198,7 +233,7 @@ class _Side(NamedTuple):
     coef: np.ndarray
     other_link: np.ndarray
     other_eff: np.ndarray  # the other side's flags * loading
-    work: np.ndarray       # the state's workspace in this orientation
+    blocks: tuple          # (rows, scale, workspace view) per block of rows
     names: tuple           # state attributes of loading, flags, coefficients
 
     def store(self, state: InnerState, loading, flags) -> None:
@@ -207,19 +242,19 @@ class _Side(NamedTuple):
 
 
 def _rows(state: InnerState) -> _Side:
-    return _Side(state.ztilde, state.off_loss, state.scale, state.side.x, state.mu_b,
+    return _Side(state.ztilde, state.off_loss, state.side.x, state.mu_b,
                  state.hp.zeta_n, 1.0, state.fx, state.u, state.psi, state.beta,
-                 state.gw, state.phi * state.v, state._work, ("u", "psi", "beta"))
+                 state.gw, state.phi * state.v, state._row_blocks, ("u", "psi", "beta"))
 
 
 def _columns(state: InnerState) -> _Side:
-    # The workspace is seen through a transposed view of the (n, p) buffer,
-    # so every (p, n) temporary keeps ztilde's layout and its row sums add
-    # in the order of an axis-0 sum (a C-ordered (p, n) buffer would sum
-    # pairwise).
-    return _Side(state.ztilde.T, state.off_loss.T, state.scale.T, state.side.w,
+    # A block of C columns is an (n, C) C-ordered prefix of the workspace
+    # seen transposed, so every (C, n) temporary keeps ztilde's layout and
+    # its row sums add in the order of an axis-0 sum (a C-ordered (C, n)
+    # block would sum pairwise).
+    return _Side(state.ztilde.T, state.off_loss.T, state.side.w,
                  state.mu_g, state.hp.zeta_p, state.eta, state.gw, state.v, state.phi,
-                 state.gamma, state.fx, state.psi * state.u, state._work.T,
+                 state.gamma, state.fx, state.psi * state.u, state._column_blocks,
                  ("v", "phi", "gamma"))
 
 
@@ -230,28 +265,36 @@ def _surrogate_sums(s: _Side, ra, cb, at):
     Cells with A = 0 add zero (D >= 2b > 0), as do unobserved cells (2b = inf).
 
     A is never formed: w = ra^2 * (1/D @ cb^2) and t = ra * ((ztilde / D) @
-    cb), with 1/D computed once.  Overwrites the workspace; the returned
-    vectors are fresh, so the caller may write the workspace again.
+    cb), with 1/D computed once per block of rows.  Overwrites the
+    workspace; the returned vectors are fresh, so the caller may write the
+    workspace again.
 
     The loading step solves its surrogate from these sums.  The coefficient
     step feeds its Newton system the on-axis rows' sums, and the sums of
     every row to :func:`_coef_gain_bound`.
     """
-    denom = s.work
-    np.outer(ra * at, cb, out=denom)
-    np.subtract(s.ztilde, denom, out=denom)
-    np.add(s.scale, np.square(denom, out=denom), out=denom)
-    np.divide(1.0, denom, out=denom)
-    w = ra * ra * (denom @ (cb * cb))
-    return w, ra * (np.multiply(denom, s.ztilde, out=denom) @ cb)
+    w, t = np.empty(ra.size), np.empty(ra.size)
+    lead, cb2 = ra * at, cb * cb
+    for rows, scale, denom in s.blocks:
+        np.einsum("i,j->ij", lead[rows], cb, out=denom)
+        np.subtract(s.ztilde[rows], denom, out=denom)
+        np.add(scale, np.square(denom, out=denom), out=denom)
+        np.divide(1.0, denom, out=denom)
+        np.matmul(denom, cb2, out=w[rows])
+        np.matmul(np.multiply(denom, s.ztilde[rows], out=denom), cb, out=t[rows])
+    return ra * ra * w, ra * t
 
 
-def _masked_loglik_delta(s: _Side, state: InnerState, cells_on: np.ndarray) -> np.ndarray:
-    """Per-row sums of the loss gain of switching each row's block on:
-    loss(ztilde) - loss(ztilde - cells_on).  Overwrites ``cells_on``."""
-    gain = _log1p_sq(np.subtract(s.ztilde, cells_on, out=cells_on), s.scale, out=cells_on)
-    np.subtract(s.off_loss, gain, out=gain)
-    return (state.hp.a_sigma + 0.5) * gain.sum(axis=1)
+def _masked_loglik_delta(s: _Side, state: InnerState, a, b) -> np.ndarray:
+    """Per-row sums of the loss gain of switching on each row's cells
+    outer(a, b): loss(ztilde) - loss(ztilde - outer(a, b)).  Overwrites the
+    workspace."""
+    gain = np.empty(a.size)
+    for rows, scale, cells in s.blocks:
+        np.einsum("i,j->ij", a[rows], b, out=cells)
+        loss = _log1p_sq(np.subtract(s.ztilde[rows], cells, out=cells), scale, out=cells)
+        np.subtract(s.off_loss[rows], loss, out=loss).sum(axis=1, out=gain[rows])
+    return (state.hp.a_sigma + 0.5) * gain
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +330,7 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
     new = np.where(inactive, scaled, prop)
     flags = s.flags
     if inactive.any():
-        d_lik = _masked_loglik_delta(s, state, np.outer(ra * prop, cb, out=s.work))
+        d_lik = _masked_loglik_delta(s, state, ra * prop, cb)
         d_post = (
             log(s.zeta / (1.0 - s.zeta))
             + d_lik
@@ -308,9 +351,8 @@ def _update_flags(state: InnerState, s: _Side) -> InnerState:
     the sparser state.  Loadings of rows flagged off are reset to the prior
     mode zero, which can only raise the objective.
     """
-    cells_on = np.outer(state.eta * (s.link * s.loading), s.other_link * s.other_eff,
-                        out=s.work)
-    d_lik = _masked_loglik_delta(s, state, cells_on)
+    d_lik = _masked_loglik_delta(s, state, state.eta * (s.link * s.loading),
+                                 s.other_link * s.other_eff)
     on = (log(s.zeta / (1.0 - s.zeta)) + d_lik) > 0.0
     s.store(state, np.where(on, s.loading, 0.0), on.astype(float))
     return state
@@ -478,6 +520,7 @@ def run_inner(
         rows, cols = np.divmod(zeros, state.mask.shape[1])
         prev = np.take(fitted_prev, zeros)
         cells, z = np.empty(zeros.size), np.empty(zeros.size)
+        ztilde, off_loss = state.ztilde.reshape(-1), state.off_loss.reshape(-1)  # views
     j_prev = inner_logpost(state)
     trace = [j_prev]
     warmup_left = WARMUP_MAX_ITERS
@@ -487,13 +530,13 @@ def run_inner(
             if inner_callback is not None:
                 inner_callback(state.h, name, state, fitted_prev)
         if zeros is not None:
-            a, b = state.factors()  # the cells at the zeros as cells() forms them
+            a, b = state.factors()  # the candidate's cells at the zeros
             np.take(a, rows, mode="clip", out=cells)
             np.multiply(cells, np.take(b, cols, mode="clip", out=z), out=cells)
             np.multiply(state.eta, cells, out=cells)
             update_latent(prev, cells, out=z)
-            np.put(state.ztilde, zeros, z)
-            np.put(state.off_loss, zeros, _log1p_sq(z, state.two_b, out=cells))
+            ztilde[zeros] = z
+            off_loss[zeros] = _log1p_sq(z, state.two_b, out=cells)
             if inner_callback is not None:
                 inner_callback(state.h, "latent", state, fitted_prev)
         j = inner_logpost(state)

@@ -16,7 +16,7 @@ chunks of ``CHUNK_CELLS`` cells held in two preallocated buffers.
 """
 
 from dataclasses import dataclass
-from math import lgamma, log, exp, inf
+from math import log, exp, inf
 from numbers import Integral, Real
 import warnings
 
@@ -81,21 +81,23 @@ class ShrinkageParams:
 def prob_active(h: int, params: ShrinkageParams) -> float:
     """Exact marginal probability that factor h is active, Pr(rho_h = 1).
 
-    Equals ``(alpha / (1 + alpha))**h`` for delta = 0 and a ratio of Gamma
-    functions otherwise; the latter is evaluated through log-gamma
-    differences so large h stay finite.
+    Equals ``(alpha / (1 + alpha))**h`` for delta = 0.  For delta > 0 it is
+    the ratio of Gamma functions
+
+        prod_{m=1..h} (alpha + delta m) / (1 + alpha + delta (m - 1)),
+
+    evaluated as exp of one sum of log1p(-(1 - delta) / (1 + alpha + delta
+    (m - 1))), O(h).  Each factor enters through its distance from 1, so
+    the result keeps full precision however close to 1 the factors are (the
+    log-gamma differences this replaces were 6.1% off at h = 1 for delta =
+    0.3, alpha = 5e12), and large h stay finite.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     a, d = params.alpha, params.delta
     if d == 0.0:
         return exp(h * (log(a) - log(1.0 + a)))
-    return exp(
-        lgamma(h + 1.0 + a / d)
-        + lgamma((1.0 + a) / d)
-        - lgamma(h + (1.0 + a) / d)
-        - lgamma(1.0 + a / d)
-    )
+    return exp(float(np.sum(np.log1p((d - 1.0) / (1.0 + a + d * np.arange(h))))))
 
 
 def activation_tail(params: ShrinkageParams, H: int) -> float:
@@ -106,7 +108,8 @@ def activation_tail(params: ShrinkageParams, H: int) -> float:
         sum_{h>H} G(h+1+a/d) / G(h+(1+a)/d)
             = G(H+2+a/d) / G(H+(1+a)/d) * d / (1-2d),
 
-    valid for delta < 1/2.  Returns +inf for delta >= 1/2 (divergent series).
+    valid for delta < 1/2, which is prob_active(H + 1) * (1 + a + d H) /
+    (1 - 2d).  Returns +inf for delta >= 1/2 (divergent series).
     """
     if H < 0:
         raise ValueError(f"H must be >= 0, got {H}")
@@ -116,14 +119,7 @@ def activation_tail(params: ShrinkageParams, H: int) -> float:
     if d == 0.0:
         r = a / (1.0 + a)
         return r ** (H + 1) / (1.0 - r)
-    return exp(
-        lgamma((1.0 + a) / d)
-        - lgamma(1.0 + a / d)
-        + lgamma(H + 2.0 + a / d)
-        - lgamma(H + (1.0 + a) / d)
-        + log(d)
-        - log(1.0 - 2.0 * d)
-    )
+    return prob_active(H + 1, params) * (1.0 + a + d * H) / (1.0 - 2.0 * d)
 
 
 def expected_rank(params: ShrinkageParams) -> float:

@@ -57,15 +57,16 @@ def fit_result(contributions, latent_residual) -> FitResult:
 
 
 def random_state(rng, n=8, p=7, q_x=2, q_w=2, hp=None, sparse_frac=0.5, h=1,
-                 full_mask=False, ztilde=None) -> InnerState:
+                 full_mask=False, ztilde=None, unobserved=0.15) -> InnerState:
     """Random inner state with a mix of on/off flags and a masked residual
-    (every cell observed with ``full_mask``; ``ztilde`` replaces the drawn
-    residual, which is drawn either way so the other draws stay the same)."""
+    (a share ``unobserved`` of cells unobserved, none with ``full_mask``;
+    ``ztilde`` replaces the drawn residual, which is drawn either way so the
+    other draws stay the same)."""
     hp = hp or make_hp()
     side = make_side(n, p, q_x, q_w, rng)
     drawn = rng.standard_normal((n, p)) * 2.0
     ztilde = drawn if ztilde is None else ztilde
-    mask = rng.random((n, p)) > 0.15
+    mask = rng.random((n, p)) > unobserved
     if full_mask:
         mask[:] = True
     if not mask.any():
@@ -93,6 +94,28 @@ def validated_objective(state):
     resid = (state.ztilde - state.cells())[state.mask]
     return (float(np.sum(cell_marginal_loglik(resid, hp.a_sigma, hp.b_sigma)))
             + log_prior_contribution(state.candidate(), state.side, hp, state.h))
+
+
+def _one_block_outer(s, a, b):
+    """outer(a, b) in the orientation of the side ``s``: the column side's
+    (p, n) cells are an (n, p) product seen transposed, the layout of the
+    steps' workspace blocks, so row sums add in the order the steps use."""
+    return np.outer(b, a).T if s.names[0] == "v" else np.outer(a, b)
+
+
+def one_block_surrogate_sums(s, scale, ra, cb, at):
+    """``optimizer._surrogate_sums`` over all of the side's rows at once,
+    from ``np.outer`` and fresh arrays; ``scale`` is the state's per-cell
+    2 b_sigma in the side's orientation."""
+    denom = 1.0 / (scale + (s.ztilde - _one_block_outer(s, ra * at, cb)) ** 2)
+    return ra * ra * (denom @ (cb * cb)), ra * ((denom * s.ztilde) @ cb)
+
+
+def one_block_loglik_delta(s, scale, a_sigma, a, b):
+    """``optimizer._masked_loglik_delta`` over all of the side's rows at
+    once, from ``np.outer`` and fresh arrays."""
+    loss = np.log1p((s.ztilde - _one_block_outer(s, a, b)) ** 2 / scale)
+    return (a_sigma + 0.5) * (s.off_loss - loss).sum(axis=1)
 
 
 def exact_row_loss(ztilde, A, u, a_sigma: float, b_sigma: float) -> float:

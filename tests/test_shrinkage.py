@@ -3,6 +3,7 @@
 import tracemalloc
 import warnings
 from contextlib import nullcontext
+from fractions import Fraction
 from math import inf
 
 import numpy as np
@@ -33,12 +34,18 @@ class TestParams:
         with pytest.raises(ValueError):
             ShrinkageParams(alpha=alpha, delta=delta)
 
-    @pytest.mark.parametrize("alpha,delta", [(1e17, 0.0), (1e14, 0.3)])
+    @pytest.mark.parametrize("alpha,delta", [(1e17, 0.0), (1e17, 0.3)])
     def test_alpha_whose_first_activation_rounds_to_one(self, alpha, delta):
-        # Pr(rho_1 = 1) = (alpha + delta) / (1 + alpha) evaluates to 1.0 (or,
-        # through the lgamma form, above 1), and log Pr(rho_1 = 0) is undefined
+        # Pr(rho_1 = 1) = (alpha + delta) / (1 + alpha) evaluates to 1.0, and
+        # log Pr(rho_1 = 0) is undefined
         with pytest.raises(ValueError, match="alpha"):
             ShrinkageParams(alpha=alpha, delta=delta)
+
+    @pytest.mark.parametrize("alpha", [1e12, 1e14])
+    def test_large_alpha_whose_first_activation_is_below_one(self, alpha):
+        # the true Pr(rho_1 = 1) = 1 - 0.7 / (1 + alpha) is below 1 by more
+        # than an ulp
+        assert prob_active(1, ShrinkageParams(alpha=alpha, delta=0.3)) < 1.0
 
 
 class TestProbActive:
@@ -75,6 +82,25 @@ class TestProbActive:
     def test_invalid_h(self):
         with pytest.raises(ValueError):
             prob_active(0, ShrinkageParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("alpha,delta", [(2.8, 0.2), (0.6, 0.4), (-0.3, 0.4), (1e6, 0.3),
+                                             (5e12, 0.3), (1e14, 0.3)])
+    def test_matches_exact_product(self, alpha, delta):
+        params = ShrinkageParams(alpha, delta)
+        for h in (1, 2, 3, 10, 100):
+            exact = exact_prob_active(h, alpha, delta)
+            assert abs(Fraction(prob_active(h, params)) / exact - 1) < 1e-14, h
+            tail = exact * (1 + Fraction(alpha) + Fraction(delta) * (h - 1)) / (1 - 2 * Fraction(delta))
+            assert abs(Fraction(activation_tail(params, h - 1)) / tail - 1) < 1e-14, h
+
+
+def exact_prob_active(h, alpha, delta) -> Fraction:
+    """Pr(rho_h = 1) = prod_{m<=h} (alpha + delta m) / (1 + alpha + delta (m - 1)),
+    in exact rational arithmetic."""
+    alpha, delta, q = Fraction(alpha), Fraction(delta), Fraction(1)
+    for m in range(1, h + 1):
+        q *= (alpha + delta * m) / (1 + alpha + delta * (m - 1))
+    return q
 
 
 class TestExpectedRank:

@@ -3,10 +3,11 @@
 Every coordinate step and :func:`inner_logpost` writes its n x p
 temporaries into the one workspace buffer its :class:`InnerState` allocated
 when it was built.  These tests check that no step allocates an n x p
-array, that two states never share a buffer, and that the coefficient step,
-which reads surrogate sums out of the buffer, keeps its Newton point or
-stays as an allocating reference does.
-The latent refresh of truncated data writes only the observed zeros.
+array, that the step kernels, which walk the buffer in blocks of rows, sum
+exactly what one block over every row would, that two states never share
+a buffer, and that the coefficient step, which reads surrogate sums out of
+the buffer, keeps its Newton point or stays as an allocating reference
+does.  The latent refresh of truncated data writes only the observed zeros.
 """
 
 import copy
@@ -15,10 +16,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_hp, make_side, random_state, validated_objective
+from conftest import (
+    make_hp,
+    make_side,
+    one_block_loglik_delta,
+    one_block_surrogate_sums,
+    random_state,
+    validated_objective,
+)
 from xfile.latent import initial_latent, observed_zeros
 from xfile.model import ObservedMatrix, Transform, frelu
 from xfile.optimizer import (
+    _columns,
+    _masked_loglik_delta,
+    _rows,
+    _surrogate_sums,
     fit_contribution,
     inner_logpost,
     run_inner,
@@ -36,11 +48,13 @@ STEPS = (("u", step_u), ("psi", step_psi), ("beta", step_beta), ("v", step_v),
 ARRAYS = ("u", "psi", "beta", "v", "phi", "gamma", "fx", "gw")
 
 
+@pytest.mark.parametrize("n, p", [(200, 150), (400, 200)])
 @pytest.mark.parametrize("full_mask", [True, False])
-def test_no_step_allocates_a_cell_array(full_mask):
+def test_no_step_allocates_a_cell_array(full_mask, n, p):
     # Numpy reports its data buffers to tracemalloc, so the traced peak of a
-    # call bounds the largest temporary it built.
-    state = random_state(np.random.default_rng(7), n=200, p=150, q_x=3, q_w=3,
+    # call bounds the largest temporary it built.  At 400 x 200 both sides
+    # of the steps run in more than one block of rows.
+    state = random_state(np.random.default_rng(7), n=n, p=p, q_x=3, q_w=3,
                          full_mask=full_mask)
     one_array = state.mask.size * 8
     peaks = {}
@@ -54,6 +68,26 @@ def test_no_step_allocates_a_cell_array(full_mask):
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) < 1.0, peaks
+
+
+@pytest.mark.parametrize("unobserved", [0.0, 0.2])
+@pytest.mark.parametrize("side", [_rows, _columns])
+def test_block_kernels_equal_one_block_reference(side, unobserved):
+    # 400 x 200: the rows run in blocks of 320 and 80, the columns in
+    # blocks of 160 and 40
+    state = random_state(np.random.default_rng(17), n=400, p=200, q_x=3, q_w=3,
+                         full_mask=unobserved == 0.0, unobserved=unobserved)
+    s = side(state)
+    assert len(s.blocks) == 2
+    scale = state.scale if side is _rows else state.scale.T
+    ra = (state.eta / s.c) * s.link
+    cb = s.other_link * s.other_eff
+    for got, want in zip(_surrogate_sums(s, ra, cb, s.loading * s.c),
+                         one_block_surrogate_sums(s, scale, ra, cb, s.loading * s.c)):
+        assert np.array_equal(got, want)
+    a = state.eta * (s.link * s.loading)
+    assert np.array_equal(_masked_loglik_delta(s, state, a, cb),
+                          one_block_loglik_delta(s, scale, state.hp.a_sigma, a, cb))
 
 
 def test_latent_refresh_allocates_no_cell_array():
