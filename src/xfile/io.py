@@ -6,7 +6,8 @@ matrix file, model files included, is read by :func:`_parse_rows`, whose parse
 errors give a 1-based row and column, and written by :func:`save_matrix`:
 ``%.17g`` cells, one LF-ended line per row.  Side-information CSVs omit the
 intercept column; it is prepended on load.  A fitted model is one CSV per
-parameter family plus a versioned manifest ("xfile-model/1"), diff-able text.
+parameter family plus a versioned manifest ("xfile-model/2"), diff-able text;
+"xfile-model/1" directories, which always hold the latent residual, still load.
 """
 
 import csv
@@ -40,11 +41,15 @@ __all__ = [
     "write_pgm",
 ]
 
-MODEL_FORMAT = "xfile-model/1"
+MODEL_FORMAT = "xfile-model/2"
+READ_FORMATS = ("xfile-model/1", MODEL_FORMAT)
 FLOAT_FMT = "%.17g"
 # The vector parameters of a contribution, in the order of the model files
 # and of the columns of contributions.csv.
 FAMILIES = ("u_tilde", "psi_tilde", "beta", "v_tilde", "phi_tilde", "gamma")
+# Text that marks a quoted or an empty field, which only csv.reader reads:
+# np.loadtxt would parse the file up to it, then fail.
+_FIELD_GAPS = ('"', ",,", ",\n", ",\r", "\n,", "\r,")
 
 
 class MatrixParseError(ValueError):
@@ -57,7 +62,9 @@ def _parse_rows(path, has_header: bool):
         if has_header:
             next(reader, None)  # the header record, which may span lines
         lines = fh.readlines()
-        if lines and lines[0].strip():  # loadtxt warns if every line is blank
+        text = "".join(lines)
+        gaps = text.startswith(",") or text.endswith(",") or any(g in text for g in _FIELD_GAPS)
+        if lines and lines[0].strip() and not gaps:  # loadtxt warns if every line is blank
             try:
                 values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             except ValueError:
@@ -65,7 +72,7 @@ def _parse_rows(path, has_header: bool):
             else:
                 if values.shape[0] == len(lines):  # loadtxt skips blank lines
                     return values, np.ones(values.shape, dtype=bool)
-        del lines  # csv.reader streams the file; it alone reads empty or quoted cells
+        del lines, text  # csv.reader streams the file; it alone reads empty or quoted cells
         fh.seek(0)
         rows = list(reader)[int(has_header):]
     if not any(rows):  # no rows, or blank lines only
@@ -160,7 +167,11 @@ def _family_sizes(side: SideInfo) -> tuple:
 
 def save_model(out_dir, result: FitResult, side: SideInfo, transform: Transform,
                eps_frelu: float) -> None:
-    """One CSV per parameter family plus manifest.json (format xfile-model/1)."""
+    """One CSV per parameter family plus manifest.json (format xfile-model/2).
+
+    The latent residual is written only under truncation, where it holds
+    the latent values at the observed zeros; for identity data it is the
+    data minus the fitted values at the observed cells."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k = result.rank
@@ -183,15 +194,18 @@ def save_model(out_dir, result: FitResult, side: SideInfo, transform: Transform,
     save_matrix(out / "theta.csv", np.array([[c.eta, c.rho] for c in cs]).reshape(k, 2))
     save_matrix(out / "x.csv", side.x)
     save_matrix(out / "w.csv", side.w)
-    save_matrix(out / "latent_residual.csv", result.latent_residual)
+    if transform == Transform.NONNEG_TRUNCATION:
+        save_matrix(out / "latent_residual.csv", result.latent_residual)
 
 
 def load_model(model_dir) -> tuple[FitResult, SideInfo, Transform, float]:
-    """Inverse of :func:`save_model`.  Every file must have the shape that
-    the manifest's ``rank``, ``n``, ``p``, ``q_x`` and ``q_w`` give it."""
+    """Inverse of :func:`save_model`, for either format.  Every file must
+    have the shape that the manifest's ``rank``, ``n``, ``p``, ``q_x`` and
+    ``q_w`` give it.  The latent residual is None when the directory holds
+    none."""
     model = Path(model_dir)
     manifest = json.loads((model / "manifest.json").read_text())
-    if manifest.get("format") != MODEL_FORMAT:
+    if manifest.get("format") not in READ_FORMATS:
         raise ValueError(f"unsupported model format {manifest.get('format')!r}")
     try:
         k, n, p, q_x, q_w = (int(manifest[key]) for key in ("rank", "n", "p", "q_x", "q_w"))
@@ -221,12 +235,12 @@ def load_model(model_dir) -> tuple[FitResult, SideInfo, Transform, float]:
                                eta=float(theta[h, 0]), rho=int(theta[h, 1]))
             for h in range(k)
         )
-    residual = _read("latent_residual.csv", (n, p))
     result = FitResult(
         contributions=contributions,
         logpost_trace=np.empty(0),
         trace_factors=np.empty(0, dtype=int),
-        latent_residual=residual,
+        latent_residual=(_read("latent_residual.csv", (n, p))
+                         if (model / "latent_residual.csv").exists() else None),
     )
     return result, side, Transform(manifest["transform"]), float(manifest["eps_frelu"])
 

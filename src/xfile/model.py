@@ -257,7 +257,8 @@ class FitResult:
     ``logpost_trace`` concatenates the per-sub-iteration log-posterior of
     the winning restart of each accepted factor; ``trace_factors`` gives the
     1-based factor index of each entry.  ``latent_residual`` is the final
-    Gaussian residual (zero at unobserved cells).
+    Gaussian residual (zero at unobserved cells), or None for a loaded model
+    whose directory holds none.
     """
 
     contributions: tuple

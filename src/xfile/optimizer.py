@@ -37,14 +37,15 @@ weight, so no step masks.  The exact objective (:func:`inner_logpost`) is
 summed straight from the candidate's arrays; :class:`InnerState` holds them
 with the constants it caches and the workspace the steps write into.
 
-The two per-cell kernels of steps 1-6 (:func:`_surrogate_sums` and
-:func:`_masked_loglik_delta`) walk their side's rows in blocks of at most
-``shrinkage.CHUNK_CELLS`` cells, each in a block-sized view of the
-workspace, so a block's elementwise passes and row sums stay in L2 rather
-than streaming n x p temporaries through L3.  They form rank-one products
-with ``np.einsum("i,j->ij", a, b, out=...)``, which at 800 x 400 took half
-the time of numpy's broadcast multiply (``np.outer``).  The two agree except
-in the sign of zero products, which the kernels square away.
+The per-cell kernels of steps 1-6 (:func:`_surrogate_sums` and
+:func:`_masked_loglik_delta`) and the objective walk the same blocks of rows
+of at most ``shrinkage.CHUNK_CELLS`` cells, each in a block-sized view of
+the workspace, so a block's elementwise passes and sums stay in L2 rather
+than streaming n x p temporaries through L3; the column side sees each
+block transposed and adds its column sums over the blocks.  Rank-one
+products come from ``np.einsum("i,j->ij", a, b, out=...)``, which at 800 x
+400 took half the time of ``np.outer``; the two agree except in the sign of
+zero products, which the kernels square away.
 """
 
 from dataclasses import dataclass
@@ -90,30 +91,36 @@ __all__ = [
 ]
 
 
-def _blocks(shape, scale, work, order) -> tuple:
-    """The rows of a (rows, m) problem in blocks that fit ``CHUNK_CELLS``
-    cells: rows per block are the largest multiple of 8 that fits (8 when
-    none does).  Per block: its row slice, its ``scale`` and a block-sized
-    prefix view, in memory order ``order``, of the flat workspace ``work``
-    (the whole of it when all rows fit one block)."""
-    n, m = shape
-    step = max(8, CHUNK_CELLS // m // 8 * 8)
+def _blocks(scale, work) -> tuple:
+    """The (n, p) workspace ``work`` in blocks of rows that fit ``CHUNK_CELLS``
+    cells, the largest multiple of 8 rows that fits (8 when none does).  Per
+    block: the index of its cells, of its row sums in one row of partial
+    sums, its ``scale`` and a C-ordered (R, p) prefix view of ``work``."""
+    n, p = work.shape
+    flat = work.reshape(-1)
+    step = max(8, CHUNK_CELLS // p // 8 * 8)
     blocks = []
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         size = rows.stop - start
-        blocks.append((rows, scale[rows] if scale.ndim else scale,
-                       work[:size * m].reshape((size, m), order=order)))
+        blocks.append(((rows, slice(None)), (0, rows), scale[rows] if scale.ndim else scale,
+                       flat[:size * p].reshape(size, p)))
     return tuple(blocks)
+
+
+def _total(parts) -> np.ndarray:
+    """The sum of the rows of partial sums (a one-row sum turns -0.0 into 0.0)."""
+    return parts[0] if len(parts) == 1 else parts.sum(axis=0)
 
 
 class InnerState:
     """Mutable candidate state for one factor's coordinate ascent.
 
     ``ztilde`` is the state's copy of the latent residual after subtracting
-    accepted factors, 0 at unobserved cells.  ``fx`` and ``gw`` cache the
-    link values frelu(x'beta) and frelu(w'gamma); :meth:`refresh_links`
-    recomputes them and must follow every change of ``beta`` or ``gamma``.
+    accepted factors, 0 at unobserved cells.  ``x_beta``/``w_gamma`` cache
+    the linear scores and ``fx``/``gw`` their links frelu(x'beta) and
+    frelu(w'gamma); :meth:`refresh_links` recomputes them and must follow
+    every change of ``beta`` or ``gamma`` outside the coefficient steps.
 
     ``side``, ``hp``, ``h`` and ``mask`` are fixed for the life of the
     state, and the constants of the objective that follow from them are
@@ -125,22 +132,17 @@ class InnerState:
     the candidate switched off.  Both arrays are written only here and, at
     the observed zeros of truncated data, by :func:`run_inner`'s latent refresh.
 
-    The state owns the workspace of its steps, allocated here, so that no
-    step and no objective evaluation allocates an n x p array: ``_work`` is
-    one n x p float buffer.  :func:`inner_logpost` uses all of it.  The step
-    kernels use the block views built here (:func:`_blocks`): per block of
-    R rows, ``_row_blocks`` holds the (R, p) C-ordered prefix of the buffer,
-    and per block of C columns ``_column_blocks`` holds its (n, C) C-ordered
-    prefix seen transposed, so each (C, n) temporary keeps ztilde's layout.
-    Rows per block are a multiple of 8 because BLAS's gemv kernels take
-    rows in groups: each row then sits where it would in one pass over the
-    whole array, and the blocked row sums came out bit-identical to that
-    pass at blocks of 16 rows or more, while blocks of 7, 13 or 41 rows
-    changed their last bits.  Every step and every objective evaluation may
-    overwrite the buffer, so no value in it outlives the call that wrote it.
-    When some cells are unobserved, :func:`inner_logpost` gathers the
-    observed ones into ``_observed`` (their flat indices and a buffer of
-    that length).  :meth:`cells` without ``out`` returns a fresh array.
+    The state owns the workspace of its steps and of :func:`inner_logpost`,
+    one n x p buffer ``_work``, so that none of them allocates an n x p
+    array.  They walk it in the row blocks of :func:`_blocks`: ``_row_blocks``
+    for the rows and the objective, ``_transposed_blocks`` the same memory
+    seen (p, R) for the columns, one row of partial sums per block.  Rows per
+    block are a multiple of 8 because BLAS's gemv kernels take rows in
+    groups: blocked row sums came out bit-identical to one pass over the
+    whole array at blocks of 16 rows or more, but not at 7, 13 or 41.  No
+    value in the buffer outlives the call that wrote it.  ``_observed``
+    holds per block the flat indices of its observed cells and a buffer of
+    that length to gather them into (None when every cell is observed).
     """
 
     def __init__(self, ztilde, mask, side, hp, h, u, psi, beta, v, phi, gamma, eta):
@@ -163,30 +165,33 @@ class InnerState:
         self.gamma = np.asarray(gamma, dtype=float)
         self.eta = float(eta)
         self.refresh_links()
-        n, p = self.mask.shape
-        self._work = np.empty((n, p))
-        if self.mask.all():
-            self.scale, self._observed = np.float64(self.two_b), None  # has .T
+        self._work = np.empty(self.mask.shape)
+        full = self.mask.all()
+        self.scale = np.float64(self.two_b) if full else np.where(self.mask, self.two_b, np.inf)
+        self._row_blocks = _blocks(self.scale, self._work)
+        self._transposed_blocks = tuple(
+            ((slice(None), rows), k, scale.T, work.T)  # np.float64 has .T
+            for k, ((rows, _), _, scale, work) in enumerate(self._row_blocks))
+        if full:
+            self._observed = (None,) * len(self._row_blocks)
         else:
-            self.scale = np.where(self.mask, self.two_b, np.inf)
-            index = np.flatnonzero(self.mask)
-            self._observed = (index, np.empty(index.size))
-        flat = self._work.reshape(-1)
-        self._row_blocks = _blocks((n, p), self.scale, flat, "C")
-        self._column_blocks = _blocks((p, n), self.scale.T, flat, "F")
+            index = [np.flatnonzero(self.mask[cells]) for cells, *_ in self._row_blocks]
+            buffer = np.empty(max(i.size for i in index))
+            self._observed = tuple((i, buffer[:i.size]) for i in index)
 
     def refresh_links(self):
-        self.fx = frelu(self.side.x @ self.beta, self.hp.eps_frelu)
-        self.gw = frelu(self.side.w @ self.gamma, self.hp.eps_frelu)
+        self.x_beta, self.w_gamma = self.side.x @ self.beta, self.side.w @ self.gamma
+        self.fx = frelu(self.x_beta, self.hp.eps_frelu)
+        self.gw = frelu(self.w_gamma, self.hp.eps_frelu)
 
     def factors(self):
         """The row and column factors a, b of the cells eta * (a_i * b_j)."""
         return self.fx * self.psi * self.u, self.gw * self.phi * self.v
 
-    def cells(self, out=None):
-        """The candidate's n x p cells, into ``out`` or else a fresh array."""
+    def cells(self):
+        """The candidate's n x p cells, in a fresh array."""
         a, b = self.factors()
-        return np.multiply(self.eta, np.einsum("i,j->ij", a, b, out=out), out=out)
+        return np.multiply(self.eta, np.einsum("i,j->ij", a, b))
 
     def candidate(self) -> FactorContribution:
         return FactorContribution(
@@ -200,19 +205,20 @@ def inner_logpost(state: InnerState) -> float:
     """Exact objective for the current candidate: masked data loss plus the
     candidate's log prior (activation term included, rho = 1).
 
-    Equal, bit for bit, to ``cell_marginal_loglik`` summed over the masked
-    residual plus ``log_prior_contribution(state.candidate(), ...)``, but
-    read from the state's arrays and cached constants.
+    Equal to ``cell_marginal_loglik`` summed over the masked residual plus
+    ``log_prior_contribution(state.candidate(), ...)``, but read from the
+    state's arrays and cached constants, and summed block by block: bit for
+    bit when the cells fit one block, else up to the order of the sum.
     """
-    resid = state.cells(out=state._work)
-    np.subtract(state.ztilde, resid, out=resid)
-    if state._observed is None:
-        resid = resid.ravel()  # all cells, in the order of resid[mask]
-    else:
-        index, observed = state._observed
-        resid = np.take(resid, index, mode="clip", out=observed)
-    np.multiply(state.neg_a_half, _log1p_sq(resid, state.two_b, out=resid), out=resid)
-    lik = float(np.sum(resid))
+    a, b = state.factors()
+    lik = -0.0  # the additive identity: one block's sum stays bit for bit
+    for ((rows, _), _, _, resid), observed in zip(state._row_blocks, state._observed):
+        np.multiply(state.eta, np.einsum("i,j->ij", a[rows], b, out=resid), out=resid)
+        np.subtract(state.ztilde[rows], resid, out=resid)
+        resid = (resid.ravel() if observed is None  # all cells, in the order of resid[mask]
+                 else np.take(resid, observed[0], mode="clip", out=observed[1]))
+        np.multiply(state.neg_a_half, _log1p_sq(resid, state.two_b, out=resid), out=resid)
+        lik += float(np.sum(resid))
     prior = _log_prior(state.u, state.psi, state.beta, state.v, state.phi, state.gamma,
                        state.eta, state.mu_b, state.mu_g, state.hp)
     return lik + (prior + state.log_q)  # grouped as log_prior_contribution adds them
@@ -227,35 +233,35 @@ class _Side(NamedTuple):
     mu: np.ndarray         # prior mean of the coefficients
     zeta: float
     c: float
+    score: np.ndarray      # the linear scores design @ coef
     link: np.ndarray
     loading: np.ndarray
     flags: np.ndarray
     coef: np.ndarray
     other_link: np.ndarray
     other_eff: np.ndarray  # the other side's flags * loading
-    blocks: tuple          # (rows, scale, workspace view) per block of rows
-    names: tuple           # state attributes of loading, flags, coefficients
+    blocks: tuple          # per row block: cells index, partial sums index, scale, workspace
+    parts: int             # rows of partial sums the blocks write
+    names: tuple           # state attributes of loading, flags, coefficients, score, link
 
-    def store(self, state: InnerState, loading, flags) -> None:
-        setattr(state, self.names[0], loading)
-        setattr(state, self.names[1], flags)
+    def store(self, state: InnerState, *values, at: int = 0) -> None:
+        """Sets the state attributes ``names[at:]`` to ``values``."""
+        for name, value in zip(self.names[at:], values):
+            setattr(state, name, value)
 
 
 def _rows(state: InnerState) -> _Side:
     return _Side(state.ztilde, state.off_loss, state.side.x, state.mu_b,
-                 state.hp.zeta_n, 1.0, state.fx, state.u, state.psi, state.beta,
-                 state.gw, state.phi * state.v, state._row_blocks, ("u", "psi", "beta"))
+                 state.hp.zeta_n, 1.0, state.x_beta, state.fx, state.u, state.psi, state.beta,
+                 state.gw, state.phi * state.v, state._row_blocks, 1,
+                 ("u", "psi", "beta", "x_beta", "fx"))
 
 
 def _columns(state: InnerState) -> _Side:
-    # A block of C columns is an (n, C) C-ordered prefix of the workspace
-    # seen transposed, so every (C, n) temporary keeps ztilde's layout and
-    # its row sums add in the order of an axis-0 sum (a C-ordered (C, n)
-    # block would sum pairwise).
     return _Side(state.ztilde.T, state.off_loss.T, state.side.w,
-                 state.mu_g, state.hp.zeta_p, state.eta, state.gw, state.v, state.phi,
-                 state.gamma, state.fx, state.psi * state.u, state._column_blocks,
-                 ("v", "phi", "gamma"))
+                 state.mu_g, state.hp.zeta_p, state.eta, state.w_gamma, state.gw, state.v,
+                 state.phi, state.gamma, state.fx, state.psi * state.u, state._transposed_blocks,
+                 len(state._transposed_blocks), ("v", "phi", "gamma", "w_gamma", "gw"))
 
 
 def _surrogate_sums(s: _Side, ra, cb, at):
@@ -265,36 +271,37 @@ def _surrogate_sums(s: _Side, ra, cb, at):
     Cells with A = 0 add zero (D >= 2b > 0), as do unobserved cells (2b = inf).
 
     A is never formed: w = ra^2 * (1/D @ cb^2) and t = ra * ((ztilde / D) @
-    cb), with 1/D computed once per block of rows.  Overwrites the
-    workspace; the returned vectors are fresh, so the caller may write the
-    workspace again.
+    cb), with 1/D computed once per block, whose partial sums add up over
+    the blocks on the column side.  Overwrites the workspace; the returned
+    vectors are fresh, so the caller may write the workspace again.
 
     The loading step solves its surrogate from these sums.  The coefficient
     step feeds its Newton system the on-axis rows' sums, and the sums of
     every row to :func:`_coef_gain_bound`.
     """
-    w, t = np.empty(ra.size), np.empty(ra.size)
+    w, t = np.empty((s.parts, ra.size)), np.empty((s.parts, ra.size))
     lead, cb2 = ra * at, cb * cb
-    for rows, scale, denom in s.blocks:
-        np.einsum("i,j->ij", lead[rows], cb, out=denom)
-        np.subtract(s.ztilde[rows], denom, out=denom)
+    for (own, other), part, scale, denom in s.blocks:
+        z = s.ztilde[own, other]
+        np.einsum("i,j->ij", lead[own], cb[other], out=denom)
+        np.subtract(z, denom, out=denom)
         np.add(scale, np.square(denom, out=denom), out=denom)
         np.divide(1.0, denom, out=denom)
-        np.matmul(denom, cb2, out=w[rows])
-        np.matmul(np.multiply(denom, s.ztilde[rows], out=denom), cb, out=t[rows])
-    return ra * ra * w, ra * t
+        np.matmul(denom, cb2[other], out=w[part])
+        np.matmul(np.multiply(denom, z, out=denom), cb[other], out=t[part])
+    return ra * ra * _total(w), ra * _total(t)
 
 
 def _masked_loglik_delta(s: _Side, state: InnerState, a, b) -> np.ndarray:
     """Per-row sums of the loss gain of switching on each row's cells
     outer(a, b): loss(ztilde) - loss(ztilde - outer(a, b)).  Overwrites the
     workspace."""
-    gain = np.empty(a.size)
-    for rows, scale, cells in s.blocks:
-        np.einsum("i,j->ij", a[rows], b, out=cells)
-        loss = _log1p_sq(np.subtract(s.ztilde[rows], cells, out=cells), scale, out=cells)
-        np.subtract(s.off_loss[rows], loss, out=loss).sum(axis=1, out=gain[rows])
-    return (state.hp.a_sigma + 0.5) * gain
+    gain = np.empty((s.parts, a.size))
+    for (own, other), part, scale, work in s.blocks:
+        np.einsum("i,j->ij", a[own], b[other], out=work)
+        loss = _log1p_sq(np.subtract(s.ztilde[own, other], work, out=work), scale, out=work)
+        np.subtract(s.off_loss[own, other], loss, out=loss).sum(axis=1, out=gain[part])
+    return (state.hp.a_sigma + 0.5) * _total(gain)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +324,7 @@ def _update_loadings(state: InnerState, s: _Side) -> InnerState:
     that strictly increases the exact objective.  The stored loading is l / c.
     """
     hp = state.hp
-    if not np.any(s.other_eff != 0):
+    if not s.other_eff.any():
         return state
     ra = (state.eta / s.c) * s.link
     cb = s.other_link * s.other_eff
@@ -358,14 +365,14 @@ def _update_flags(state: InnerState, s: _Side) -> InnerState:
     return state
 
 
-def _coef_gain_bound(state: InnerState, s: _Side, w, t, coef) -> float:
+def _coef_gain_bound(state: InnerState, s: _Side, w, t, coef, l1) -> float:
     """Lower bound on J(coef) - J(s.coef), the objective's change when this
     side's coefficients move from s.coef to ``coef``.
 
     ``w`` and ``t`` are the per-row surrogate sums of :func:`_surrogate_sums`,
-    tangent at the current links l0 = s.link, with l1 = frelu(design @ coef).
-    The tangent bound log x <= log x0 + (x - x0) / x0 holds for every link
-    value, so the bound
+    tangent at the current links l0 = s.link, and l1 = frelu(design @ coef)
+    are the links at ``coef``.  The tangent bound log x <= log x0 + (x - x0)
+    / x0 holds for every link value, so the bound
 
         -(a + 1/2) sum_i (l1_i - l0_i) (w_i (l1_i + l0_i) - 2 t_i)
             - (|coef - mu|^2 - |s.coef - mu|^2) / 2
@@ -374,7 +381,6 @@ def _coef_gain_bound(state: InnerState, s: _Side, w, t, coef) -> float:
     whose links do not move add zero.
     """
     l0 = s.link
-    l1 = frelu(s.design @ coef, state.hp.eps_frelu)
     loss = float(np.sum((l1 - l0) * (w * (l1 + l0) - 2.0 * t)))
     prior = float(np.sum((coef - s.mu) ** 2)) - float(np.sum((s.coef - s.mu) ** 2))
     return state.neg_a_half * loss - 0.5 * prior
@@ -397,13 +403,13 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
       over every row at the actual links, bounds the objective's change
       from below, so a non-negative bound certifies the point.
 
-    Otherwise the coefficients and links stay as they are.  Neither branch
-    evaluates the objective.  The sign test comes first: in exact arithmetic
-    it implies a non-negative bound, and it costs less.
+    Otherwise the coefficients, scores and links stay as they are.  Neither
+    branch evaluates the objective.  The sign test comes first: in exact
+    arithmetic it implies a non-negative bound, and it costs less.
     """
     hp = state.hp
-    on_axis = (s.design @ s.coef) > 0.0
-    if not on_axis.any() or not np.any(s.other_eff != 0):
+    on_axis = s.score > 0.0
+    if not on_axis.any() or not s.other_eff.any():
         return state
     w, t = _surrogate_sums(s, state.eta * (s.flags * s.loading), s.other_link * s.other_eff,
                            s.link)
@@ -416,10 +422,11 @@ def _update_coef(state: InnerState, s: _Side) -> InnerState:
     rhs = s.design.T @ (tvec - hp.eps_frelu * wvec) + ridge * s.mu
     newton = np.linalg.solve(M, rhs)
 
-    if (np.array_equal((s.design @ newton) > 0.0, on_axis)
-            or _coef_gain_bound(state, s, w, t, newton) >= 0.0):
-        setattr(state, s.names[2], newton)
-        state.refresh_links()
+    score = s.design @ newton
+    link = frelu(score, hp.eps_frelu)
+    if (np.array_equal(score > 0.0, on_axis)
+            or _coef_gain_bound(state, s, w, t, newton, link) >= 0.0):
+        s.store(state, newton, score, link, at=2)
     return state
 
 
@@ -473,15 +480,8 @@ def step_eta(state: InnerState) -> InnerState:
     return state
 
 
-_STEPS = (
-    ("u", step_u),
-    ("psi", step_psi),
-    ("beta", step_beta),
-    ("v", step_v),
-    ("phi", step_phi),
-    ("gamma", step_gamma),
-    ("eta", step_eta),
-)
+_STEPS = (("u", step_u), ("psi", step_psi), ("beta", step_beta), ("v", step_v),
+          ("phi", step_phi), ("gamma", step_gamma), ("eta", step_eta))
 
 _WARMUP_STEPS = tuple((n, f) for n, f in _STEPS if n not in ("psi", "phi"))
 

@@ -389,11 +389,9 @@ def test_criterion_10_reproducibility(tmp_path):
         return out
 
     a, b = run("a"), run("b")
-    model_files = ["manifest.json", "u_tilde.csv", "psi_tilde.csv", "beta.csv",
-                   "v_tilde.csv", "phi_tilde.csv", "gamma.csv", "theta.csv",
-                   "fitted.csv", "contributions.csv", "rank.txt",
-                   "logpost_trace.csv", "latent_residual.csv"]
-    identical = all((a / f).read_bytes() == (b / f).read_bytes() for f in model_files)
+    names = sorted(f.name for f in a.iterdir())
+    identical = names == sorted(f.name for f in b.iterdir()) and all(
+        (a / f).read_bytes() == (b / f).read_bytes() for f in names)
 
     mask_path = tmp_path / "m.csv"
     save_matrix(mask_path, (~mask).astype(float))

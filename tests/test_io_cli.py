@@ -136,6 +136,32 @@ class TestLoadMatrix:
         with pytest.raises(MatrixParseError, match="row 2, column 2"):
             load_matrix(path)
 
+    def test_empty_or_quoted_cells_skip_loadtxt(self, tmp_path, monkeypatch):
+        # loadtxt would parse every row before it failed on the last one
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(None) or loadtxt(*a, **k))
+        values = np.arange(60.0).reshape(20, 3)
+        path = tmp_path / "m.csv"
+        save_matrix(path, values)
+        np.testing.assert_array_equal(load_matrix(path).values, values)
+        assert len(calls) == 1  # a complete file is read by loadtxt
+        head = "".join(path.read_text().splitlines(keepends=True)[:-1])
+        for last, observed in (("57,,59\n", [1, 0, 1]), ('57,"58",59\n', [1, 1, 1]),
+                               ("57,58,\n", [1, 1, 0]), ("57,58,\r\n", [1, 1, 0]),
+                               (",58,59", [0, 1, 1])):
+            path.write_text(head + last, newline="")
+            data = load_matrix(path)
+            mask = np.ones(values.shape, bool)
+            mask[-1] = observed
+            np.testing.assert_array_equal(data.mask, mask)
+            np.testing.assert_array_equal(data.values[mask], values[mask])
+        path.write_text(head.replace("18,19,20", "18,x,20") + "57,,59\n")
+        with pytest.raises(MatrixParseError,
+                           match=re.escape(f"{path}: row 7, column 2: not a number: 'x'")):
+            load_matrix(path)
+        assert len(calls) == 1
+
     def test_roundtrip_bit_identical(self, tmp_path, rng):
         values = rng.standard_normal((7, 5))
         mask = rng.random((7, 5)) > 0.2
@@ -213,7 +239,7 @@ class TestMatrixFormat:
         side = SideInfo(x=np.column_stack([np.ones(n), np.arange(n) / 3.0]),
                         w=np.column_stack([np.ones(p), np.linspace(-1.0, 1.0, p), np.ones(p) / 7]))
         residual = np.arange(n * p).reshape(n, p) / 9.0 - 1.5
-        save_model(tmp_path, fit_result([], residual), side, Transform.IDENTITY, 0.0)
+        save_model(tmp_path, fit_result([], residual), side, Transform.NONNEG_TRUNCATION, 0.0)
         sizes = {"u_tilde": n, "psi_tilde": n, "beta": 2, "v_tilde": p, "phi_tilde": p,
                  "gamma": 3}
         for name, size in sizes.items():
@@ -274,6 +300,49 @@ class TestModelPersistence:
         for name in names:
             first, second = ((tmp_path / d / name).read_bytes() for d in "ab")
             assert second == first, name
+
+    @pytest.mark.parametrize("transform", [Transform.IDENTITY, Transform.NONNEG_TRUNCATION])
+    def test_residual_file_only_under_truncation(self, tmp_path, rng, transform):
+        # for identity data the residual is data - fitted at the observed cells
+        result, side, data, hp = _small_fit(rng, transform)
+        save_model(tmp_path, result, side, transform, hp.eps_frelu)
+        assert json.loads((tmp_path / "manifest.json").read_text())["format"] == "xfile-model/2"
+        truncated = transform == Transform.NONNEG_TRUNCATION
+        assert (tmp_path / "latent_residual.csv").exists() == truncated
+        loaded = load_model(tmp_path)[0].latent_residual
+        if truncated:
+            np.testing.assert_array_equal(loaded, result.latent_residual)
+        else:
+            assert loaded is None
+
+    @pytest.mark.parametrize("transform", [Transform.IDENTITY, Transform.NONNEG_TRUNCATION])
+    def test_format_1_directory_loads_and_predicts_the_same_bytes(self, tmp_path, rng,
+                                                                  transform):
+        # an xfile-model/1 directory holds the residual file for every transform
+        result, side, data, hp = _small_fit(rng, transform)
+        new, old = tmp_path / "new", tmp_path / "old"
+        for model in (new, old):
+            save_model(model, result, side, transform, hp.eps_frelu)
+        save_matrix(old / "latent_residual.csv", result.latent_residual)
+        manifest = old / "manifest.json"
+        manifest.write_text(manifest.read_text().replace("xfile-model/2", "xfile-model/1"))
+        np.testing.assert_array_equal(load_model(old)[0].latent_residual,
+                                      result.latent_residual)
+        mask_path = tmp_path / "mask.csv"
+        save_matrix(mask_path, np.ones(data.shape))
+        for model in (new, old):
+            assert main(["predict", "--model", str(model), "--mask", str(mask_path),
+                         "--out", str(tmp_path / f"pred-{model.name}.csv")]) == 0
+            assert main(["export", "--model", str(model), "--out-dir",
+                         str(tmp_path / f"export-{model.name}"),
+                         "--grid-rows", "3", "--grid-cols", "4"]) == 0
+        assert (tmp_path / "pred-old.csv").read_bytes() == (tmp_path / "pred-new.csv").read_bytes()
+        names = sorted(f.name for f in (tmp_path / "export-new").iterdir()
+                       if f.name != "config_used.json")  # names the model directory
+        assert len(names) > 3
+        for name in names:
+            assert ((tmp_path / "export-old" / name).read_bytes()
+                    == (tmp_path / "export-new" / name).read_bytes()), name
 
     def test_empty_field_located(self, tmp_path, rng):
         n, p = 6, 5
@@ -558,20 +627,22 @@ class TestCli:
         assert str(shape) in err and "(6, 5)" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, keep", [
-        ("theta.csv", lambda text: b""),
-        ("latent_residual.csv", lambda text: text[:20]),
-        ("x.csv", lambda text: b"".join(text.splitlines(keepends=True)[:2])),
-        ("manifest.json", lambda text: text.replace(b'"q_x"', b'"q"')),
-        ("theta.csv", lambda text: text.replace(b",1\n", b",0.5\n", 1)),
-    ], ids=["empty-theta", "cut-residual", "two-row-x", "manifest-without-q_x", "half-rho"])
+    @pytest.mark.parametrize("name, keep, transform", [
+        ("theta.csv", lambda text: b"", Transform.IDENTITY),
+        ("latent_residual.csv", lambda text: text[:20], Transform.NONNEG_TRUNCATION),
+        ("u_tilde.csv", lambda text: text[:20], Transform.IDENTITY),
+        ("x.csv", lambda text: b"".join(text.splitlines(keepends=True)[:2]), Transform.IDENTITY),
+        ("manifest.json", lambda text: text.replace(b'"q_x"', b'"q"'), Transform.IDENTITY),
+        ("theta.csv", lambda text: text.replace(b",1\n", b",0.5\n", 1), Transform.IDENTITY),
+    ], ids=["empty-theta", "cut-residual", "cut-u_tilde", "two-row-x", "manifest-without-q_x",
+            "half-rho"])
     def test_predict_model_file_disagrees_with_manifest(self, tmp_path, rng, capsys, name,
-                                                        keep):
+                                                        keep, transform):
         n, p = 6, 5
         model = tmp_path / "model"
         result = fit_result([random_contribution(n, p, 2, 2, rng) for _ in range(3)],
                             rng.standard_normal((n, p)))
-        save_model(model, result, make_side(n, p, 2, 2, rng), Transform.IDENTITY, 0.0)
+        save_model(model, result, make_side(n, p, 2, 2, rng), transform, 0.0)
         damaged = model / name
         damaged.write_bytes(keep(damaged.read_bytes()))
         mask_path = tmp_path / "mask.csv"

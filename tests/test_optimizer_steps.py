@@ -23,6 +23,7 @@ from xfile.model import (
     SideInfo,
     Transform,
     cell_marginal_loglik,
+    frelu,
     log_prior_contribution,
 )
 from xfile.optimizer import (
@@ -282,9 +283,9 @@ def _coef_and_design(state, step):
 
 
 def _bound(state, step, coef, on_axis_only=False):
-    """``optimizer._coef_gain_bound`` at ``coef``, fed the per-row surrogate
-    sums of every row from allocating formulas (of the on-axis rows only,
-    zero elsewhere, with ``on_axis_only``)."""
+    """``optimizer._coef_gain_bound`` at ``coef`` and its links, fed the
+    per-row surrogate sums of every row from allocating formulas (of the
+    on-axis rows only, zero elsewhere, with ``on_axis_only``)."""
     s = optimizer._rows(state) if step is step_beta else optimizer._columns(state)
     unobserved = ~(state.mask if step is step_beta else state.mask.T)
     A = state.eta * np.outer(s.flags * s.loading, s.other_link * s.other_eff)
@@ -294,7 +295,8 @@ def _bound(state, step, coef, on_axis_only=False):
     if on_axis_only:
         on_axis = s.design @ s.coef > 0.0
         w, t = np.where(on_axis, w, 0.0), np.where(on_axis, t, 0.0)
-    return optimizer._coef_gain_bound(state, s, w, t, coef)
+    return optimizer._coef_gain_bound(state, s, w, t, coef,
+                                      frelu(s.design @ coef, state.hp.eps_frelu))
 
 
 def _exact_change(state, name, coef):
@@ -351,9 +353,9 @@ class TestRejectedNewtonPoint:
         bound = optimizer._coef_gain_bound
         newton = []  # the step asks for the bound only when a sign flips
 
-        def recorded(state, s, w, t, coef):
+        def recorded(state, s, w, t, coef, link):
             newton.append(coef.copy())
-            return bound(state, s, w, t, coef)
+            return bound(state, s, w, t, coef, link)
 
         monkeypatch.setattr(optimizer, "_coef_gain_bound", recorded)
         calls = []

@@ -3,11 +3,14 @@
 Every coordinate step and :func:`inner_logpost` writes its n x p
 temporaries into the one workspace buffer its :class:`InnerState` allocated
 when it was built.  These tests check that no step allocates an n x p
-array, that the step kernels, which walk the buffer in blocks of rows, sum
-exactly what one block over every row would, that two states never share
-a buffer, and that the coefficient step, which reads surrogate sums out of
-the buffer, keeps its Newton point or stays as an allocating reference
-does.  The latent refresh of truncated data writes only the observed zeros.
+array; that the step kernels and the objective, which walk the buffer in
+blocks of rows, sum exactly what one block over every row would when the
+cells fit one block, and the row sums of every shape, while the column sums
+and the objective of several blocks agree to rounding; that two states never
+share a buffer; and that the coefficient step, which reads surrogate sums
+out of the buffer, keeps its Newton point or stays as an allocating
+reference does.  The latent refresh of truncated data writes only the
+observed zeros.
 """
 
 import copy
@@ -70,24 +73,40 @@ def test_no_step_allocates_a_cell_array(full_mask, n, p):
     assert max(peaks.values()) < 1.0, peaks
 
 
+def _assert_rtol_1e12(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("unobserved", [0.0, 0.2])
 @pytest.mark.parametrize("side", [_rows, _columns])
-def test_block_kernels_equal_one_block_reference(side, unobserved):
-    # 400 x 200: the rows run in blocks of 320 and 80, the columns in
-    # blocks of 160 and 40
-    state = random_state(np.random.default_rng(17), n=400, p=200, q_x=3, q_w=3,
+@pytest.mark.parametrize("n, p, blocks", [(400, 200, 2), (50, 50, 1), (100, 150, 1)])
+def test_block_kernels_equal_one_block_reference(n, p, blocks, side, unobserved):
+    # 400 x 200 runs in row blocks of 320 and 80 rows: each row's sum lies
+    # in one block, bit for bit, while each column's adds partial sums over
+    # the blocks.  The other shapes fit one block: bit for bit on both sides.
+    state = random_state(np.random.default_rng(17), n=n, p=p, q_x=3, q_w=3,
                          full_mask=unobserved == 0.0, unobserved=unobserved)
     s = side(state)
-    assert len(s.blocks) == 2
+    assert len(s.blocks) == blocks
+    check = _assert_rtol_1e12 if side is _columns and blocks > 1 else np.testing.assert_array_equal
     scale = state.scale if side is _rows else state.scale.T
     ra = (state.eta / s.c) * s.link
     cb = s.other_link * s.other_eff
     for got, want in zip(_surrogate_sums(s, ra, cb, s.loading * s.c),
                          one_block_surrogate_sums(s, scale, ra, cb, s.loading * s.c)):
-        assert np.array_equal(got, want)
+        check(got, want)
     a = state.eta * (s.link * s.loading)
-    assert np.array_equal(_masked_loglik_delta(s, state, a, cb),
-                          one_block_loglik_delta(s, scale, state.hp.a_sigma, a, cb))
+    check(_masked_loglik_delta(s, state, a, cb),
+          one_block_loglik_delta(s, scale, state.hp.a_sigma, a, cb))
+
+
+@pytest.mark.parametrize("unobserved", [0.0, 0.2])
+@pytest.mark.parametrize("n, p", [(400, 200), (803, 397)])
+def test_multi_block_objective_matches_validated_reference(n, p, unobserved):
+    state = random_state(np.random.default_rng(19), n=n, p=p, q_x=3, q_w=3,
+                         full_mask=unobserved == 0.0, unobserved=unobserved)
+    assert len(state._row_blocks) > 1
+    assert inner_logpost(state) == pytest.approx(validated_objective(state), rel=1e-13, abs=0.0)
 
 
 def test_latent_refresh_allocates_no_cell_array():
